@@ -66,9 +66,9 @@ BENCHMARK(BM_SyncMstFullRun)->Arg(256);
 // protocol. This isolates the per-round engine overhead (register-file
 // handling + accounting) from protocol logic, which is what the
 // double-buffered sync_round is meant to shrink.
-// Each variant gets its own State type so each Simulation instantiation has
-// a single runtime protocol target, as everywhere else in the library (one
-// protocol per register type) — this keeps the call sites devirtualizable.
+// PulseState has a single runtime protocol target, as everywhere else in
+// the library (one protocol per register type) — this keeps the call sites
+// devirtualizable.
 struct PulseState {
   std::uint64_t pulse = 0;
   std::uint64_t seen_max = 0;
@@ -91,38 +91,6 @@ class PulseProtocol final : public Protocol<PulseState> {
   }
 };
 
-/// Same computation, but through the double-buffered fast path: the whole
-/// next register is rewritten from the round-t snapshot, so the per-node
-/// seed copy of the default sync path is elided.
-struct ZcPulseState {
-  std::uint64_t pulse = 0;
-  std::uint64_t seen_max = 0;
-};
-SSMST_REGISTER_HEADER(ZcPulseState);
-
-class ZeroCopyPulseProtocol final : public Protocol<ZcPulseState> {
- public:
-  void step(NodeId v, ZcPulseState& self,
-            const NeighborReader<ZcPulseState>& nbr,
-            std::uint64_t time) override {
-    step_into(v, self, self, nbr, time);
-  }
-  void step_into(NodeId, const ZcPulseState& prev, ZcPulseState& next,
-                 const NeighborReader<ZcPulseState>& nbr,
-                 std::uint64_t) override {
-    std::uint64_t m = prev.pulse;
-    for (std::uint32_t p = 0; p < nbr.degree(); ++p) {
-      m = std::max(m, nbr.at_port(p).pulse);
-    }
-    next.seen_max = m;
-    next.pulse = m + 1;
-  }
-  bool rewrites_register() const override { return true; }
-  std::size_t state_bits(const ZcPulseState&, NodeId) const override {
-    return 128;
-  }
-};
-
 void BM_SimSyncRound(benchmark::State& state) {
   const auto& g = test_graph(static_cast<NodeId>(state.range(0)));
   PulseProtocol proto;
@@ -136,23 +104,10 @@ void BM_SimSyncRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSyncRound)->Arg(1024);
 
-void BM_SimSyncRoundZeroCopy(benchmark::State& state) {
-  const auto& g = test_graph(static_cast<NodeId>(state.range(0)));
-  ZeroCopyPulseProtocol proto;
-  Simulation<ZcPulseState> sim(g, proto, std::vector<ZcPulseState>(g.n()));
-  for (auto _ : state) {
-    sim.sync_round();
-  }
-  state.SetItemsProcessed(state.iterations() * g.n());
-  state.counters["rounds/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimSyncRoundZeroCopy)->Arg(1024);
-
 // Sharded sync rounds: the same engine sweep on a large graph, split into
 // contiguous CSR shards across a thread pool (bit-identical results; see
 // test_parallel_sim). Arg0 = nodes, Arg1 = threads; thread count 1 uses
-// the serial sweep and is the baseline the speedup is measured against.
+// the one-shard sweep and is the baseline the speedup is measured against.
 void BM_SimSyncRoundSharded(benchmark::State& state) {
   const auto& g = test_graph(static_cast<NodeId>(state.range(0)));
   const auto threads = static_cast<unsigned>(state.range(1));
@@ -353,8 +308,6 @@ void BM_AsyncDrainParallel(benchmark::State& state) {
   if (threads > 1) {
     sim.set_thread_pool(&pool);
     sim.set_async_drain(AsyncDrain::kParallel);
-  } else {
-    sim.set_async_drain(AsyncDrain::kSequential);
   }
   Rng daemon(29);
   // Settle to quiescence: the initial blanket unit is the only full drain.

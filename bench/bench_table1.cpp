@@ -1,6 +1,7 @@
 // Reproduces Table 1: "Comparing self-stabilizing MST construction
 // algorithms" — space and time of the self-stabilizing MST construction,
-// for the three checker regimes the table spans (see DESIGN.md §3.4):
+// for the three checker regimes the table spans (the paper's Section 10
+// plugs each checker into the same Resynchronizer):
 //   * recompute   — optimal space, slow detection   ([48]/[18] regime)
 //   * kkp-labels  — Theta(log^2 n) space, 1-round detection ([17] regime)
 //   * this-paper  — optimal space AND O(n) time AND polylog detection.

@@ -1,7 +1,9 @@
 // Regenerates the paper's worked example (Figure 1 + Table 2): an 18-node
 // weighted tree, its fragment hierarchy H_M, and the per-node strings
-// Roots / EndP / Parents / Or-EndP. The instance is our fixed analogue of
-// the (partially recoverable) hand-drawn example — see DESIGN.md §3.5;
+// Roots / EndP / Parents / Or-EndP. The instance (gen::figure1_example)
+// is our fixed analogue of the hand-drawn example, not a copy of it: the
+// figure's 18 nodes a..r with tree weights mirroring its values, plus
+// non-tree chords, giving a multi-level hierarchy akin to the figure's;
 // legality of the printed strings is machine-checked by the test-suite.
 
 #include <cstdio>

@@ -29,11 +29,11 @@
 ///    WeightedGraph::kHubDegree, and node_of_id() is O(log n). Build
 ///    graphs with the two-pass bulk WeightedGraph::from_edges().
 ///
-///  * Simulation<State> is double-buffered: sync_round() steps every node
-///    from the front register buffer into the back buffer in one fused
-///    sweep (accounting included) and swaps — no bulk register-file copy.
-///    Protocols that rewrite their whole register can override
-///    Protocol::step_into() to elide the per-node seed copy as well.
+///  * Simulation<State> is double-buffered: sync_round() copies each
+///    node's register into the back buffer and steps it there in one fused
+///    sweep (accounting included), then swaps — no bulk register-file
+///    copy. Protocols implement Protocol::step; the engine has no other
+///    sync path.
 ///
 ///  * SimulationStats (Simulation::stats()) is the single metrology
 ///    surface: time, rounds/units, activations, first-alarm time and

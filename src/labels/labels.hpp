@@ -40,7 +40,8 @@ inline constexpr std::uint32_t kLabelPackCap = 8;
 /// simulation share that node's single payload, which is exactly the
 /// double-buffered engine's semantics: the step functions never write the
 /// label payload, and external corruption writes through to every buffered
-/// copy at once (coherence is demoted by the same access). Contexts that
+/// copy at once (the next sync round re-seeds the back buffer from the
+/// front one, headers included). Contexts that
 /// need independent payloads — a second simulation, a mutated scratch copy
 /// in a test — clone the content into their own arena via `clone_from`
 /// (the engine does this at construction through

@@ -14,8 +14,8 @@ namespace ssmst {
 /// Complete marker output for a graph: the MST, its hierarchy, the two
 /// partitions, and per-node labels.
 ///
-/// Distribution note (see DESIGN.md §3.2): the labels are *computed* here
-/// from the hierarchy that SYNC_MST produces — exactly the data the paper's
+/// Distribution note: the labels are *computed* here, centrally, from the
+/// hierarchy that SYNC_MST produces — exactly the data the paper's
 /// distributed marker would install in O(n) time (Lemma 5.4, Claims
 /// 6.9/6.10, Corollary 6.11); `schedule_rounds` carries the simulated-time
 /// charge. The Multi_Wave primitive the distributed marker relies on is

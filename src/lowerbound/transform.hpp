@@ -30,7 +30,7 @@ TauTransform tau_transform(const WeightedGraph& g,
                            std::uint32_t tau);
 
 /// A synthetic "hard family" standing in for the (h, mu)-hypertrees of
-/// [54] (used as a black box by the paper; see DESIGN.md section 3.3):
+/// [54], which Section 9 uses as a black box without constructing them:
 /// a complete binary tree of depth h whose sibling leaves are joined by
 /// heavy cross edges, so MST verification has to reason about Theta(2^h)
 /// independent cut decisions. Every node is adjacent to at most one

@@ -106,8 +106,8 @@ struct SelfStabilizingMst::Impl {
       case CheckerKind::kTrainVerifier: {
         std::vector<std::uint32_t> p(g.n());
         for (NodeId v = 0; v < g.n(); ++v) {
-          // cstate: read-only extraction must not demote coherence or
-          // re-enable the activation queue.
+          // cstate: read-only extraction must not re-enable the
+          // activation queue.
           p[v] = train_sim->cstate(v).parent_port;
         }
         return p;

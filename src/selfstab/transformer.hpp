@@ -65,8 +65,8 @@ struct TransformerOptions {
 /// *measured*; the per-phase costs and the O(n) total are what the Table-1
 /// bench reports. Phase hand-off signalling (alarm -> reset seeds ->
 /// restart) is orchestrated by this harness; a fully inlined hand-off adds
-/// O(diam) per phase, which the reset measurement already dominates
-/// (DESIGN.md section 3).
+/// O(diam) per phase, which the reset measurement already dominates: the
+/// reset wave itself must flood and acknowledge across the whole graph.
 class SelfStabilizingMst {
  public:
   SelfStabilizingMst(const WeightedGraph& g, TransformerOptions opt);

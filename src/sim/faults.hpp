@@ -71,9 +71,9 @@ std::vector<NodeId> inject_faults(const Protocol<State>& proto,
 //
 // KKM11 promises recovery from arbitrary transient corruption of ALL memory,
 // so the adversary must also reach the simulator's own bookkeeping: dirty
-// bitmaps, pending queues, staleness stamps, the coherence flag, label
-// headers. These wrappers turn Simulation's raw aux_* corruption surface
-// into batch, deterministically seeded injectors matching the register-fault
+// bitmaps, pending queues, staleness stamps, label headers. These wrappers
+// turn Simulation's raw aux_* corruption surface into batch,
+// deterministically seeded injectors matching the register-fault
 // layer above: victims chosen by pick_fault_nodes under an index-derived
 // seed reproduce bit-identically across runs and layouts.
 
@@ -125,10 +125,10 @@ void aux_skew_stamps(Simulation<State>& sim, std::span<const NodeId> victims,
 std::uint32_t skewed_stamp(std::uint64_t now, std::uint32_t lead);
 
 /// Silent register mutation: applies `fn(v, reg)` through the
-/// aux_corrupt_register backdoor — no coherence demotion, no queue
-/// enabling — modelling a fault that strikes a register while the
-/// bookkeeping that would have noticed was itself corrupted. The fault the
-/// kArenaTruncate campaign class uses to shrink label headers unseen.
+/// aux_corrupt_register backdoor — no queue enabling — modelling a fault
+/// that strikes a register while the bookkeeping that would have noticed
+/// was itself corrupted. The fault the kArenaTruncate campaign class uses
+/// to shrink label headers unseen.
 template <typename State, typename Fn>
 void aux_silent_mutate(Simulation<State>& sim, std::span<const NodeId> victims,
                        Fn&& fn) {

@@ -50,15 +50,19 @@ class NeighborReader {
 };
 
 /// A distributed protocol in the register model: per-node state (the public
-/// register) plus a step function executed on each activation.
+/// register) plus a step function executed on each activation. The engine
+/// drives it through two hooks only: `step` (every sync round and the
+/// legacy full-sweep daemon) and `step_changed` (the activation-queue
+/// daemon); everything else is metadata — register adoption, sizes,
+/// alarms, audits and corruption.
 ///
 /// Protocols must be written so that `step` only reads the provided
 /// neighbour view and its own state — that is exactly the locality the
 /// model grants.
 ///
 /// Thread-safety contract (parallel sync rounds): when a Simulation has a
-/// thread pool attached, `step`/`step_into` for *distinct* nodes of the
-/// same round run concurrently. The locality rule above is therefore also
+/// thread pool attached, `step` for *distinct* nodes of the same round
+/// runs concurrently. The locality rule above is therefore also
 /// the concurrency rule — an activation must be pure with respect to every
 /// other node's register: it may read the (immutable, round-t) neighbour
 /// view and its own previous state, and write only its own next state. In
@@ -93,17 +97,17 @@ class NeighborReader {
 /// per-simulation LabelArena sized to the live content (labels/arena.hpp),
 /// never heap containers. Copying a register is still a single flat
 /// memcpy, but the memcpy transfers the header only — every copy of one
-/// node's register aliases that node's single stripe payload. The
-/// coherence rules that make this sound:
+/// node's register aliases that node's single stripe payload. The rules
+/// that make this sound:
 ///  * step functions never write stripe content (it is step-invariant
 ///    proof payload); they read it through borrowed views and write only
 ///    the inline block, so front/back buffer copies sharing a payload can
 ///    never disagree about it;
 ///  * external writes to stripe content (fault injection, tests) go
-///    through Simulation::state(v)/states(), whose coherence demotion and
-///    queue re-enabling already treat any such access as a full register
-///    write — the shared payload makes the write visible through every
-///    buffered copy at once, which the demotion accounts for;
+///    through Simulation::state(v)/states(), whose queue re-enabling
+///    treats any such access as a full register write — the shared
+///    payload makes the write visible through both buffers at once, and
+///    every sync round re-seeds the back buffer from the front one;
 ///  * a register file adopted by a Simulation owns its payload privately:
 ///    the engine calls adopt_register_file() at construction and the
 ///    protocol clones the stripes into a pooled per-simulation arena, so
@@ -124,53 +128,16 @@ class Protocol {
  public:
   virtual ~Protocol() = default;
 
-  /// One activation of node v. `time` is the current global time unit;
-  /// self-stabilizing protocols must not rely on it for correctness (it is
-  /// exposed for the non-self-stabilizing construction algorithms, whose
-  /// model permits synchronized wake-up, and for tracing).
+  /// One activation of node v, in place. In a sync round `self` is the
+  /// node's slot in the back buffer, freshly seeded with its round-t
+  /// register (one flat copy), while the neighbour view shows the round-t
+  /// front buffer; in an async unit `self` is the live register. `time`
+  /// is the current global time unit; self-stabilizing protocols must not
+  /// rely on it for correctness (it is exposed for the non-self-
+  /// stabilizing construction algorithms, whose model permits
+  /// synchronized wake-up, and for tracing).
   virtual void step(NodeId v, State& self, const NeighborReader<State>& nbr,
                     std::uint64_t time) = 0;
-
-  /// One *synchronous* activation of node v, writing the round-(t+1) state
-  /// into `next` while `prev` and the neighbour view hold the round-t
-  /// snapshot. This is the zero-copy hook of the double-buffered
-  /// Simulation::sync_round: protocols that rewrite their whole register
-  /// anyway override it (and rewrites_register()) to skip the per-node
-  /// seed copy. The default seeds `next` from `prev` and runs the
-  /// in-place `step`, so existing protocols work unchanged.
-  ///
-  /// `next` may hold a stale register from two rounds ago (the back
-  /// buffer); overrides must fully determine its value.
-  virtual void step_into(NodeId v, const State& prev, State& next,
-                         const NeighborReader<State>& nbr,
-                         std::uint64_t time) {
-    next = prev;
-    step(v, next, nbr, time);
-  }
-
-  /// Like step_into, but with a stronger engine guarantee: `next` holds
-  /// *this node's* round-(t-1) register, bit-exact as the engine last wrote
-  /// it — the previous round completed under the engine and neither buffer
-  /// has been externally mutated since (Simulation tracks this; any
-  /// non-const access to the register file, an async unit, or the very
-  /// first round demotes the round to plain step_into). Protocols whose
-  /// step leaves part of the register untouched can exploit the guarantee:
-  /// step-invariant fields already hold their round-(t+1) value in `next`
-  /// and need not be copied at all — this is the true zero-copy path for
-  /// registers dominated by immutable payload (e.g. proof labels).
-  /// Overrides must produce exactly the same `next` as step_into would.
-  /// Default: defer to step_into.
-  virtual void step_into_coherent(NodeId v, const State& prev, State& next,
-                                  const NeighborReader<State>& nbr,
-                                  std::uint64_t time) {
-    step_into(v, prev, next, nbr, time);
-  }
-
-  /// Must return true iff step_into() is overridden to fully rewrite
-  /// `next` without reading it. The simulation queries this once and then
-  /// drives sync rounds with a single virtual call per activation on
-  /// either path (seed-copy + step, or step_into/step_into_coherent).
-  virtual bool rewrites_register() const { return false; }
 
   /// One *asynchronous* activation of node v, returning whether the
   /// activation changed the register. This is the hook the activation-queue
@@ -243,7 +210,10 @@ class Protocol {
     return nullptr;
   }
 
-  /// Semantic size of the state in bits (see DESIGN.md section 1).
+  /// Semantic size of the state in bits: the register's content charged
+  /// at the field widths the paper's O(log n)-bit memory bound counts (ids
+  /// and weights at log-size, ports at log(degree), counters at their
+  /// range), independent of how the struct is laid out in memory.
   virtual std::size_t state_bits(const State& s, NodeId v) const = 0;
 
   /// Physical size of one register in bytes: the trivially-copyable block

@@ -28,11 +28,11 @@ enum class DaemonOrder {
 };
 
 /// How async_unit executes a drained unit when a thread pool is attached.
-/// All three modes produce bit-identical registers, alarms and scheduling
-/// (see the sharded-drain contract in Simulation); the switch only picks
-/// the execution strategy.
+/// Both modes produce bit-identical registers, alarms and scheduling (see
+/// the sharded-drain contract in Simulation); the switch only picks the
+/// execution strategy. Without a pool every drain runs on the calling
+/// thread — the sequential reference the parallel path is pinned to.
 enum class AsyncDrain {
-  kSequential,  ///< always drain on the calling thread (the reference path)
   kAuto,        ///< parallel when a pool is attached and the drain is large
                 ///< enough to amortize the fork-join barriers (default)
   kParallel,    ///< force the sharded path even for tiny drains — the mode
@@ -129,8 +129,8 @@ struct AuditReport {
   std::uint32_t enabled_not_queued = 0;   ///< dirty bit set, no queue entry
   std::uint32_t queued_not_enabled = 0;   ///< queue entry, dirty bit clear
   std::uint32_t duplicate_queue_entries = 0;  ///< extra entries per node
-  /// Sharded layout only: entries sitting in a queue whose CSR shard range
-  /// does not contain them (the partition must match shard boundaries).
+  /// Entries sitting in a shard queue whose CSR range does not contain
+  /// them (the partition must match the shard boundaries).
   std::uint32_t misplaced_queue_entries = 0;
   /// Staleness stamps claiming activations from the future: last_step_ or
   /// the full-drain floor ahead of the engine clock (modulo the legal
@@ -140,16 +140,12 @@ struct AuditReport {
   /// headers (e.g. label arena offsets/lengths out of bounds, live length
   /// under the install capacity).
   std::uint32_t register_violations = 0;
-  /// Coherence flag out of sync with its redundantly maintained shadow
-  /// (the flag is plain aux memory; a flipped bit falsely claiming
-  /// coherence would let step_into_coherent skip rewrites).
-  std::uint32_t coherence_violations = 0;
   std::vector<NodeId> suspects;  ///< implicated nodes, first kMaxSuspects
 
   std::uint64_t total_violations() const {
     return std::uint64_t{enabled_not_queued} + queued_not_enabled +
            duplicate_queue_entries + misplaced_queue_entries +
-           stamp_violations + register_violations + coherence_violations;
+           stamp_violations + register_violations;
   }
   bool ok() const { return total_violations() == 0; }
 };
@@ -157,12 +153,21 @@ struct AuditReport {
 /// Executes a Protocol over a WeightedGraph under either scheduler and
 /// tracks alarms, elapsed time and the running maximum register size.
 ///
+/// Shards: the nodes are split into contiguous CSR ranges, one per pool
+/// lane, with boundaries balanced by half-edge count (`compute_shards`).
+/// Without a pool (or with a one-lane pool) there is exactly one shard
+/// holding every node. The serial engine is that one-shard case: it runs
+/// the same sweep, queue and audit code as the sharded engine, minus the
+/// pool dispatch.
+///
 /// Synchronous semantics: in `sync_round` every node computes its next
 /// state from the *previous* round's registers (lock-step). The round is
-/// double-buffered: nodes read the front buffer (`regs_`) and write the
-/// back buffer (`scratch_`), and the buffers are swapped at the end of the
-/// round — there is no bulk register-file copy. Accounting is folded into
-/// the same pass, so one round makes exactly one sweep over the registers.
+/// double-buffered: each node's register is copied from the front buffer
+/// (`regs_`) into the back buffer (`scratch_`) and stepped there in place
+/// by Protocol::step, which reads neighbours from the front buffer only;
+/// the buffers are swapped at the end of the round, so there is no bulk
+/// register-file copy. Accounting is folded into the same pass, so one
+/// round makes exactly one sweep over the registers.
 ///
 /// Asynchronous semantics: `async_unit` is event-driven. The engine keeps a
 /// per-node dirty bitmap plus a pending queue of *enabled* nodes; one unit
@@ -177,8 +182,8 @@ struct AuditReport {
 ///  * `state(v)` (non-const) enables v's closed neighbourhood — the
 ///    targeted hook fault injection uses (see sim/faults.hpp);
 ///  * `states()` (non-const, whole file) and every completed `sync_round`
-///    conservatively re-enable all nodes, mirroring the back-buffer
-///    coherence demotion: the engine cannot know what changed;
+///    conservatively re-enable all nodes: the engine cannot know what
+///    changed;
 ///  * a node whose activation provably changed nothing (Protocol::
 ///    step_changed) leaves the queue until one of the rules above re-adds
 ///    it;
@@ -198,23 +203,20 @@ struct AuditReport {
 /// activated once per unit, batched end-of-unit accounting) — the
 /// reference baseline for the equivalence tests and benches.
 ///
-/// Parallel synchronous rounds: after `set_thread_pool`, `sync_round`
-/// partitions the nodes into contiguous CSR ranges (one shard per pool
-/// lane, boundaries balanced by half-edge count), steps each shard into
-/// the back buffer concurrently, and reduces the per-shard accounting
-/// deltas at the barrier in shard-index order. Because every shard reads
-/// only the round-t front buffer and writes only its own slice of the back
-/// buffer, and because within one round every alarm carries the same
-/// stamp, the resulting registers *and* the full SimulationStats are
-/// bit-identical to the serial sweep at any thread count. Protocols driven
-/// this way must honour the thread-safety contract in protocol.hpp.
+/// Parallel synchronous rounds: with several shards, `sync_round` steps
+/// each shard into the back buffer concurrently and reduces the per-shard
+/// accounting deltas at the barrier in shard-index order. Because every
+/// shard reads only the round-t front buffer and writes only its own slice
+/// of the back buffer, and because within one round every alarm carries
+/// the same stamp, the resulting registers *and* the full SimulationStats
+/// are bit-identical to the one-shard sweep at any thread count. Protocols
+/// driven this way must honour the thread-safety contract in protocol.hpp.
 ///
-/// Sharded asynchronous drains (the parallel async engine): with a pool
-/// attached, `async_unit` also shards the *queue machinery* — the dirty
-/// bitmap and pending queue are split along the same CSR shard boundaries
-/// (`compute_shards`), so enqueueing, claiming and post-drain marking touch
-/// per-shard structures — and executes the drained unit concurrently under
-/// a determinism guarantee:
+/// Sharded asynchronous drains (the parallel async engine): the pending
+/// queue is one queue per shard, so enqueueing, claiming and post-drain
+/// marking touch per-shard structures. With several shards `async_unit`
+/// can also execute the drained unit concurrently, under a determinism
+/// guarantee:
 ///
 ///  * Conflict epochs. Two drained activations commute iff the nodes are
 ///    non-adjacent (a step reads only the closed neighbourhood and writes
@@ -244,10 +246,11 @@ struct AuditReport {
 ///    re-enable). A fault injected *between* units via state()/mutate lands
 ///    in the per-shard pending queues and is drained next unit exactly as
 ///    in the sequential engine.
-///  * The legacy full-sweep daemon (`set_full_sweep(true)`) stays strictly
-///    sequential and ignores the pool; `set_async_drain` picks between the
-///    sequential reference path, kAuto (parallel only when the drain is
-///    large enough to amortize the barriers) and kParallel (forced).
+///  * The legacy full-sweep daemon (`set_full_sweep(true)`) steps strictly
+///    sequentially; `set_async_drain` picks between kAuto (parallel only
+///    when the drain is large enough to amortize the barriers) and
+///    kParallel (forced). Drains that stay on the calling thread — every
+///    drain of a one-shard engine — are the sequential reference.
 ///  * Nested-pool rule: a drain borrows the same pool as sync rounds, and
 ///    ThreadPool is not re-entrant — do not drive async_unit from inside a
 ///    job running on that same pool (sim/batch.hpp spells out the
@@ -263,11 +266,10 @@ struct AuditReport {
 ///
 ///  * Fault surface. The aux_* methods model adversarial corruption of the
 ///    engine's bookkeeping: dirty-bit flips, pending-queue entry drops and
-///    duplicates (flat and per-shard layouts), staleness-stamp skew, a
-///    coherence-flag flip, and silent register writes that bypass the
-///    demotion/enabling bookkeeping entirely (sim/faults.hpp wraps these
-///    into deterministic seeded injectors). They deliberately break the
-///    invariants normal mutations maintain; the engine must never crash or
+///    duplicates, staleness-stamp skew, and silent register writes that
+///    bypass the queue-enabling bookkeeping entirely (sim/faults.hpp wraps
+///    these into deterministic seeded injectors). They deliberately break
+///    the invariants normal mutations maintain; the engine must never crash or
 ///    scribble out of bounds under them (the ASan CI job), but its
 ///    *schedule* may silently go wrong — that is the failure mode the
 ///    auditor and watchdog exist to bound.
@@ -275,29 +277,25 @@ struct AuditReport {
 ///    structured AuditReport: queue <-> bitmap consistency (enabled_[v]
 ///    iff exactly one queue entry), per-shard queue partition matching the
 ///    CSR shard boundaries, staleness stamps (and the full-drain floor)
-///    never ahead of the engine clock, per-register structural soundness
-///    via Protocol::audit_state (label arena offset/length bounds), and
-///    the coherence flag checked against a redundantly maintained shadow
-///    copy (single-bit aux corruption of the flag is detectable by
-///    redundancy; consistent corruption of both copies is outside any
-///    finite-redundancy detector's class). Audits are O(n + pending),
-///    allocate only their report, and count into SimulationStats::audits /
-///    audit_violations.
+///    never ahead of the engine clock, and per-register structural
+///    soundness via Protocol::audit_state (label arena offset/length
+///    bounds). Audits are O(n + pending), allocate only their report, and
+///    count into SimulationStats::audits / audit_violations.
 ///  * Bounded-staleness watchdog + repair. set_watchdog(budget) arms a
 ///    fairness floor: whenever `budget` time units elapse since the last
 ///    watchdog window, the engine audits and then applies the trivially
 ///    correct repair — the round-0 reseed (re-enable every node, reset all
-///    staleness stamps and the full-drain floor, demote coherence). The
-///    reseed is unconditional on expiry: under the total-state model a
-///    clean audit cannot certify quiescence (a consistently dropped queue
-///    entry — bit cleared AND entry removed — is invisible to any local
-///    check), so the blanket re-enable is what restores the weakly fair
-///    schedule within one budget window no matter what the aux corruption
-///    hid. Every node is therefore activated at least once per
-///    budget + 1 units — detection latency of any register fault is
-///    bounded by budget + the protocol's own detection bound. Repairs
-///    count into SimulationStats::repairs; audit-failing trips accumulate
-///    strikes, and `escalate_after` consecutive failing trips set
+///    staleness stamps and the full-drain floor). The reseed is
+///    unconditional on expiry: under the total-state model a clean audit
+///    cannot certify quiescence (a consistently dropped queue entry — bit
+///    cleared AND entry removed — is invisible to any local check), so the
+///    blanket re-enable is what restores the weakly fair schedule within
+///    one budget window no matter what the aux corruption hid. Every node
+///    is therefore activated at least once per budget + 1 units —
+///    detection latency of any register fault is bounded by budget + the
+///    protocol's own detection bound. Repairs count into
+///    SimulationStats::repairs; audit-failing trips accumulate strikes,
+///    and `escalate_after` consecutive failing trips set
 ///    watchdog_escalated() — the signal that reseeding is not clearing the
 ///    corruption source (e.g. structurally corrupt registers) and the
 ///    caller must escalate to the selfstab/reset.hpp run_reset + re-mark
@@ -314,7 +312,6 @@ class Simulation {
              std::vector<State> init, ThreadPool* pool = nullptr)
       : g_(&g),
         proto_(&proto),
-        rewrites_register_(proto.rewrites_register()),
         regs_(std::move(init)),
         scratch_(regs_.size()),
         alarm_time_(g.n(), kNever),
@@ -332,8 +329,8 @@ class Simulation {
 
   /// Shards subsequent sync_rounds *and* async drains across `pool` (not
   /// owned; must outlive the simulation or be detached with nullptr).
-  /// nullptr restores the serial sweep. Results are bit-identical either
-  /// way. Safe to call at any time and repeatedly: the shard boundaries
+  /// nullptr restores the one-shard layout. Results are bit-identical
+  /// either way. Safe to call at any time and repeatedly: the shard boundaries
   /// are recomputed from the CSR degrees on every call, and any pending
   /// activations are re-bucketed into the new per-shard queues preserving
   /// the enabled set exactly — attaching or detaching a pool mid-run never
@@ -353,31 +350,26 @@ class Simulation {
   std::uint64_t time() const { return stats_.time; }
   const SimulationStats& stats() const { return stats_; }
   /// Mutable register access. Any non-const access may rewrite registers
-  /// behind the engine's back, so it demotes the next sync round from the
-  /// coherent zero-copy path to the full step_into path (see sync_round)
-  /// and conservatively re-enables every node for the next async unit.
-  /// Do NOT retain the returned reference across a sync_round: the
-  /// demotion covers only the next round, and a stale reference also
-  /// dangles across the buffer swap — re-fetch per mutation instead.
+  /// behind the engine's back, so it conservatively re-enables every node
+  /// for the next async unit. Do NOT retain the returned reference across
+  /// a sync_round: it dangles across the buffer swap — re-fetch per
+  /// mutation instead.
   std::vector<State>& states() {
-    set_coherence(false);
     enable_all_pending_ = true;
     return regs_;
   }
   const std::vector<State>& states() const { return regs_; }
-  /// Single-register mutable access: demotes sync coherence like states(),
-  /// but enables only v's closed neighbourhood for the async queue — the
-  /// targeted hook for point mutations (fault injection, probes that write
-  /// one register). Read-only call sites should use cstate() instead.
+  /// Single-register mutable access: enables only v's closed neighbourhood
+  /// for the async queue — the targeted hook for point mutations (fault
+  /// injection, probes that write one register). Read-only call sites
+  /// should use cstate() instead.
   State& state(NodeId v) {
-    set_coherence(false);
     mark_dirty(v);
     return regs_[v];
   }
-  /// Read-only register access that never demotes coherence or touches the
-  /// activation queue (the const state() overload is unreachable through a
-  /// non-const simulation reference, which silently made every probe loop
-  /// a full demotion — use this in probes).
+  /// Read-only register access that never touches the activation queue
+  /// (the const state() overload is unreachable through a non-const
+  /// simulation reference — use this in probes).
   const State& cstate(NodeId v) const { return regs_[v]; }
 
   /// Enables node v and all of its neighbours for the next async unit.
@@ -406,12 +398,9 @@ class Simulation {
   /// Batch register mutation: applies fn(v, register&) to every listed
   /// node, then enables all their closed neighbourhoods in one pass — the
   /// many-fault analogue of per-node state(v) access (sim/faults.hpp's
-  /// span-taking inject_faults is the canonical caller). Demotes sync
-  /// back-buffer coherence exactly like state(v) does.
+  /// span-taking inject_faults is the canonical caller).
   template <typename Fn>
   void mutate_registers(std::span<const NodeId> nodes, Fn&& fn) {
-    if (nodes.empty()) return;
-    set_coherence(false);
     for (NodeId v : nodes) fn(v, regs_[v]);
     mark_dirty(nodes);
   }
@@ -421,7 +410,6 @@ class Simulation {
   /// queue-driven daemon's quiescence point.
   bool async_quiescent() const {
     if (enable_all_pending_) return false;
-    if (!queue_.empty()) return false;
     for (const auto& q : queues_) {
       if (!q.empty()) return false;
     }
@@ -438,76 +426,37 @@ class Simulation {
   }
   bool full_sweep() const { return full_sweep_; }
 
-  /// True while the back buffer provably holds each node's previous-round
-  /// register (the coherent zero-copy gate; see sync_round). Exposed so
-  /// tests can pin the demote/re-establish cycle around async units.
-  bool back_buffer_coherent() const { return back_coherent_; }
-
   /// One synchronous round: a single fused sweep that steps every node
   /// into the back buffer and records accounting on the fresh states,
-  /// then swaps the buffers. With a thread pool attached, the sweep is
-  /// sharded (see the class comment); the result is bit-identical.
-  ///
-  /// Zero-copy protocols get an extra gear: once a round has completed and
-  /// no external register access happened since (states()/state() calls,
-  /// async units), the back buffer provably holds each node's round-(t-1)
-  /// register, and the sweep dispatches step_into_coherent so protocols
-  /// can skip re-writing step-invariant state entirely. The first round,
-  /// and the first round after any external mutation, fall back to the
-  /// unconditional step_into rewrite. Results are bit-identical across
-  /// all three paths.
+  /// then swaps the buffers. With several shards the sweep runs on the
+  /// pool (see the class comment); the result is bit-identical.
   SSMST_HOT_PATH void sync_round() {
     watchdog_poll();
-    const NodeId n = g_->n();
-    const std::uint64_t stamp = stats_.time + 1;
-    const bool coherent = back_coherent_;
-    if (shard_starts_.size() > 2) {
-      const auto shards =
-          static_cast<std::uint32_t>(shard_starts_.size() - 1);
-      shard_accs_.assign(shards, SweepAcc{});
-      // Round context travels via members so the task fits std::function's
-      // small-object buffer — a sharded round allocates nothing once the
-      // accumulator vector above is at capacity (shard count is fixed per
-      // pool attach).
-      sweep_stamp_ = stamp;
-      sweep_coherent_ = coherent;
-      pool_->run(shards, [this](std::uint32_t s) {
-        SweepAcc acc;
-        sweep_range(shard_starts_[s], shard_starts_[s + 1], sweep_stamp_,
-                    sweep_coherent_, acc);
-        shard_accs_[s] = acc;
-      });
-      // Deterministic reduction: fold the shard deltas in shard order.
-      // All alarms of one round share `stamp`, so the merged stats are
-      // independent of the shard layout.
-      for (const SweepAcc& acc : shard_accs_) fold(acc, stamp);
-    } else {
-      SweepAcc acc;
-      sweep_range(0, n, stamp, coherent, acc);
-      fold(acc, stamp);
-    }
+    // Round context travels via members so the shard task fits
+    // std::function's small-object buffer: a round allocates nothing.
+    sweep_stamp_ = stats_.time + 1;
+    each_shard([this](std::uint32_t s) { sweep_shard(s); });
+    // Deterministic reduction: fold the shard deltas in shard order. All
+    // alarms of one round share the stamp, so the merged stats are
+    // independent of the shard layout.
+    for (const SweepAcc& acc : shard_accs_) fold(acc, sweep_stamp_);
     regs_.swap(scratch_);
-    set_coherence(true);
     // A lock-step round rewrote the whole register file; the async queue
     // cannot know what changed, so the next unit re-seeds every node.
     enable_all_pending_ = true;
-    stats_.time = stamp;
+    stats_.time = sweep_stamp_;
     ++stats_.rounds;
-    stats_.activations += n;
+    stats_.activations += g_->n();
   }
 
   /// One asynchronous time unit: drains the enabled set (the nodes whose
   /// closed neighbourhood changed since their last activation) in daemon
-  /// order, in place. The demoted back-buffer coherence is re-established
-  /// by the first subsequent sync_round (its full step_into sweep rewrites
-  /// the back buffer; no reseed needed — pinned by test_alloc_free.cpp).
+  /// order, in place.
   SSMST_HOT_PATH void async_unit(Rng& rng,
                                  DaemonOrder order = DaemonOrder::kRandom) {
     watchdog_poll();
     const std::uint64_t stamp = stats_.time;
     if (full_sweep_) {
-      // In-place activations leave the back buffer behind the front one.
-      set_coherence(false);
       // Legacy daemon: every node activated exactly once per unit; each
       // node's post-activation state survives to the end of the unit, so
       // accounting is batched into one pass stamped with the unit's time.
@@ -525,10 +474,6 @@ class Simulation {
       // Queue-driven daemon: claim the pending queue (nodes enabled before
       // this unit; nodes enabled mid-unit run next unit — weak fairness).
       take_enabled();
-      // A quiescent unit activates nothing and writes no register, so the
-      // back buffer provably keeps its coherence; only a non-empty drain
-      // mutates the front buffer in place and demotes it.
-      if (!drain_.empty()) set_coherence(false);
       discipline(order, rng);
       // Both paths are bit-identical (the sharded-drain contract in the
       // class comment); the switch is purely an execution strategy.
@@ -656,28 +601,26 @@ class Simulation {
   // ---- Total-state fault surface (class comment; sim/faults.hpp wraps
   // these into deterministic seeded injectors). These methods MODEL
   // CORRUPTION of the engine's own auxiliary state: they deliberately
-  // bypass the bookkeeping that keeps the activation queue, staleness
-  // stamps and coherence gate sound, so the schedule may silently go
-  // wrong afterwards — which is the point. Never call them outside fault
-  // experiments. ----
+  // bypass the bookkeeping that keeps the activation queue and staleness
+  // stamps sound, so the schedule may silently go wrong afterwards —
+  // which is the point. Never call them outside fault experiments. ----
 
   /// Silent register access: returns the mutable register WITHOUT the
-  /// coherence demotion and queue enabling that states()/state(v) perform
-  /// — a write through this reference is invisible to the event-driven
-  /// engine, exactly like a transient fault striking memory between
-  /// activations while the bookkeeping bits were also corrupted.
+  /// queue enabling that states()/state(v) perform — a write through this
+  /// reference is invisible to the event-driven engine, exactly like a
+  /// transient fault striking memory between activations while the
+  /// bookkeeping bits were also corrupted.
   State& aux_corrupt_register(NodeId v) { return regs_[v]; }
   /// Flips v's dirty bit without touching any queue (either direction
   /// breaks the queue <-> bitmap invariant; audit() reports it).
   void aux_flip_enabled_bit(NodeId v) { enabled_[v] ^= 1; }
-  /// Removes one pending-queue entry for v from the live layout (flat or
-  /// per-shard). clear_bit=true also clears the dirty bit — the
-  /// *consistent* drop that no local invariant can see (the starvation
-  /// fault the watchdog's fairness floor exists for); clear_bit=false
-  /// leaves the bit set, an auditable inconsistency. Returns whether an
-  /// entry was removed.
+  /// Removes one pending-queue entry for v from its shard's queue.
+  /// clear_bit=true also clears the dirty bit — the *consistent* drop
+  /// that no local invariant can see (the starvation fault the watchdog's
+  /// fairness floor exists for); clear_bit=false leaves the bit set, an
+  /// auditable inconsistency. Returns whether an entry was removed.
   bool aux_drop_pending(NodeId v, bool clear_bit) {
-    auto& q = node_shard_.empty() ? queue_ : queues_[node_shard_[v]];
+    auto& q = queues_[node_shard_[v]];
     const auto it = std::find(q.begin(), q.end(), v);
     if (it == q.end()) return false;
     q.erase(it);
@@ -689,7 +632,7 @@ class Simulation {
   /// one unit). Returns false when v is not currently queued.
   bool aux_duplicate_pending(NodeId v) {
     if (!enabled_[v]) return false;
-    (node_shard_.empty() ? queue_ : queues_[node_shard_[v]]).push_back(v);
+    queues_[node_shard_[v]].push_back(v);
     return true;
   }
   /// Consistent drop of the ENTIRE pending set: clears the blanket
@@ -703,9 +646,6 @@ class Simulation {
       enable_all_pending_ = false;
       dropped += g_->n();
     }
-    for (NodeId v : queue_) enabled_[v] = 0;
-    dropped += queue_.size();
-    queue_.clear();
     for (auto& q : queues_) {
       for (NodeId v : q) enabled_[v] = 0;
       dropped += q.size();
@@ -718,12 +658,6 @@ class Simulation {
   /// kAdversarial discipline treat v as maximally fresh).
   void aux_skew_stamp(NodeId v, std::uint32_t stamp) { last_step_[v] = stamp; }
   std::uint32_t aux_stamp(NodeId v) const { return last_step_[v]; }
-  /// Flips the back-buffer coherence flag (primary only — the shadow copy
-  /// stays, which is what audit() checks it against). The false->true
-  /// direction is the dangerous one: it would let the next sync round take
-  /// the zero-copy path over a back buffer that does not hold the previous
-  /// round.
-  void aux_flip_coherence_flag() { back_coherent_ = !back_coherent_; }
 
   /// Snapshot of the currently pending nodes (ascending): the queued set,
   /// or all n under a pending blanket re-enable. Diagnostic/experiment
@@ -735,7 +669,6 @@ class Simulation {
       std::iota(out.begin(), out.end(), NodeId{0});
       return out;
     }
-    out.insert(out.end(), queue_.begin(), queue_.end());
     for (const auto& q : queues_) out.insert(out.end(), q.begin(), q.end());
     std::sort(out.begin(), out.end());
     return out;
@@ -746,6 +679,9 @@ class Simulation {
       std::numeric_limits<std::uint64_t>::max();
   static constexpr std::uint32_t kNever32 =
       std::numeric_limits<std::uint32_t>::max();
+  /// Registers per sweep_shard seed chunk: about 16 KiB.
+  static constexpr NodeId kSeedChunk =
+      static_cast<NodeId>(std::max<std::size_t>(1, 16384 / sizeof(State)));
 
   /// Accounting delta of one sweep over a node range. Kept local to the
   /// sweeping thread and folded into `stats_` at the barrier, so the
@@ -761,22 +697,23 @@ class Simulation {
 
   /// Recomputes the contiguous shard boundaries for the current pool:
   /// balanced by half-edge count (+1 per node for the fixed per-activation
-  /// cost), derived from the CSR degrees. Called from the constructor and
-  /// from every set_thread_pool, so the boundaries never depend on call
-  /// order relative to other setup. Also (re)builds the node -> shard
-  /// lookup and re-buckets any pending activations into the new per-shard
-  /// queues, preserving the enabled set exactly — changing the pool
-  /// mid-run never changes the async schedule.
+  /// cost), derived from the CSR degrees. One shard without a pool (or with
+  /// a one-lane pool). Called from the constructor and from every
+  /// set_thread_pool, so the boundaries never depend on call order relative
+  /// to other setup. Also rebuilds the node -> shard lookup and re-buckets
+  /// any pending activations into the new per-shard queues, preserving the
+  /// enabled set exactly — changing the pool mid-run never changes the
+  /// async schedule.
   void compute_shards() {
-    shard_starts_.clear();
-    if (pool_ != nullptr && pool_->threads() > 1) {
-      const NodeId n = g_->n();
-      const std::uint32_t shards =
-          std::min<std::uint32_t>(pool_->threads(), std::max<NodeId>(n, 1));
+    const NodeId n = g_->n();
+    const std::uint32_t shards =
+        pool_ == nullptr
+            ? 1
+            : std::min<std::uint32_t>(pool_->threads(), std::max<NodeId>(n, 1));
+    shard_starts_.assign(1, 0);
+    if (shards > 1) {
       std::uint64_t total = n;
       for (NodeId v = 0; v < n; ++v) total += g_->degree(v);
-      shard_starts_.reserve(shards + 1);
-      shard_starts_.push_back(0);
       std::uint64_t acc = 0;
       NodeId v = 0;
       for (std::uint32_t s = 1; s < shards; ++s) {
@@ -784,35 +721,38 @@ class Simulation {
         while (v < n && acc < target) acc += 1 + g_->degree(v++);
         shard_starts_.push_back(v);
       }
-      shard_starts_.push_back(n);
     }
-    const std::size_t nq =
-        shard_starts_.size() > 2 ? shard_starts_.size() - 1 : 1;
-    if (nq > 1) {
-      node_shard_.resize(g_->n());
-      for (std::uint32_t s = 0; s + 1 < shard_starts_.size(); ++s) {
-        for (NodeId v = shard_starts_[s]; v < shard_starts_[s + 1]; ++v) {
-          node_shard_[v] = static_cast<std::uint16_t>(s);
-        }
-      }
+    shard_starts_.push_back(n);
+    node_shard_.resize(n);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      std::fill(node_shard_.begin() + shard_starts_[s],
+                node_shard_.begin() + shard_starts_[s + 1],
+                static_cast<std::uint16_t>(s));
+    }
+    shard_accs_.assign(shards, SweepAcc{});
+    // Re-bucket pending activations into the new layout (bits stay set, so
+    // no enqueue checks).
+    std::vector<NodeId> pending;
+    for (const auto& q : queues_) {
+      pending.insert(pending.end(), q.begin(), q.end());
+    }
+    queues_.assign(shards, {});
+    for (NodeId v : pending) queues_[node_shard_[v]].push_back(v);
+  }
+
+  std::uint32_t shard_count() const {
+    return static_cast<std::uint32_t>(queues_.size());
+  }
+
+  /// Runs fn(s) for every shard s: directly on the calling thread when
+  /// there is one shard, across the pool otherwise. `fn` must fit
+  /// std::function's small-object buffer so that neither path allocates.
+  template <typename Fn>
+  void each_shard(const Fn& fn) {
+    if (shard_count() == 1) {
+      fn(0);
     } else {
-      node_shard_.clear();
-    }
-    // Re-bucket pending activations from whichever layout held them into
-    // the new one (bits stay set, so no enqueue checks): the flat queue_
-    // when serial, per-shard queues_ otherwise.
-    rebucket_.clear();
-    rebucket_.swap(queue_);
-    for (auto& q : queues_) {
-      rebucket_.insert(rebucket_.end(), q.begin(), q.end());
-    }
-    if (nq > 1) {
-      queues_.assign(nq, {});
-      for (NodeId v : rebucket_) queues_[node_shard_[v]].push_back(v);
-      rebucket_.clear();
-    } else {
-      queues_.clear();
-      queue_.swap(rebucket_);
+      pool_->run(shard_count(), fn);
     }
   }
 
@@ -825,18 +765,11 @@ class Simulation {
                                    full_drain_stamp_ + 1);
   }
 
-  /// Adds v to the pending queue unless it is already there: the flat
-  /// queue when unsharded (the PR 4 hot path, kept branch-cheap so serial
-  /// sparse units pay nothing for the sharding machinery), its shard's
-  /// queue otherwise. O(1).
+  /// Adds v to its shard's pending queue unless it is already there. O(1).
   void enqueue(NodeId v) {
     if (!enabled_[v]) {
       enabled_[v] = 1;
-      if (node_shard_.empty()) {
-        queue_.push_back(v);
-      } else {
-        queues_[node_shard_[v]].push_back(v);
-      }
+      queues_[node_shard_[v]].push_back(v);
     }
   }
 
@@ -844,64 +777,18 @@ class Simulation {
   /// the pending queues. A blanket re-enable materializes as a full iota;
   /// otherwise dense queues are collected by a bitmap scan (already
   /// ascending) and sparse ones sorted directly — both yield the canonical
-  /// ascending base order the disciplines build on. Under the sharded
-  /// layout each queue holds only its shard's (contiguous CSR range)
-  /// nodes, so per-shard sorts / scans concatenated in shard order yield
-  /// the same canonical ascending drain — which lets large claims run
-  /// shard-parallel without changing the result.
+  /// ascending base order the disciplines build on. Each queue holds only
+  /// its shard's (contiguous CSR range) nodes, so per-shard sorts / scans
+  /// concatenated in shard order yield the same canonical ascending drain
+  /// — which lets large claims run shard-parallel without changing the
+  /// result.
   void take_enabled() {
-    if (node_shard_.empty()) {
-      take_enabled_serial();
-    } else {
-      take_enabled_sharded();
-    }
-  }
-
-  /// Serial claim over the flat queue — the PR 4 hot path, untouched by
-  /// the sharding machinery so sparse sequential units keep their latency.
-  /// always_inline: behind the layout dispatch GCC stops inlining this
-  /// into async_unit, which alone costs ~15% sparse-unit latency (the
-  /// claim fuses with the surrounding drain code when inlined).
-  __attribute__((always_inline)) inline void take_enabled_serial() {
     const NodeId n = g_->n();
     if (enable_all_pending_) {
       enable_all_pending_ = false;
       // enabled_[v] is set iff v is queued, so clearing the queued bits
       // restores the all-clear invariant in O(pending), not O(n) — in
-      // dense steady state the queue is empty and this is free.
-      for (NodeId v : queue_) enabled_[v] = 0;
-      queue_.clear();
-      build_drain_full();
-      return;
-    }
-    drain_.clear();
-    if (queue_.size() * 16 >= n) {
-      // Dense claim: bitmap scan, ascending. The queue contents equal the
-      // set bits, so the queue is just dropped.
-      drain_.reserve(queue_.size());
-      queue_.clear();
-      for (NodeId v = 0; v < n; ++v) {
-        if (enabled_[v]) {
-          enabled_[v] = 0;
-          drain_.push_back(v);
-        }
-      }
-    } else {
-      drain_.swap(queue_);
-      std::sort(drain_.begin(), drain_.end());
-      for (NodeId v : drain_) enabled_[v] = 0;
-    }
-  }
-
-  /// Sharded claim over the per-shard queues; concatenation in shard order
-  /// reproduces the canonical ascending drain (each queue holds only its
-  /// shard's contiguous CSR range). noinline keeps the big sharded bodies
-  /// out of async_unit's inlined serial hot path (they cost measurable
-  /// sparse-unit latency through code bloat alone).
-  __attribute__((noinline)) void take_enabled_sharded() {
-    const NodeId n = g_->n();
-    if (enable_all_pending_) {
-      enable_all_pending_ = false;
+      // dense steady state the queues are empty and this is free.
       for (auto& q : queues_) {
         for (NodeId v : q) enabled_[v] = 0;
         q.clear();
@@ -912,56 +799,62 @@ class Simulation {
     drain_.clear();
     std::size_t pending = 0;
     for (const auto& q : queues_) pending += q.size();
-    const bool forced = async_drain_ == AsyncDrain::kParallel;
-    if (pending * 16 >= n) {
+    const bool dense = pending * 16 >= n;
+    if (dense) {
       // Dense claim: bitmap scan, ascending. The queue contents equal the
       // set bits, so the queues are just dropped.
       for (auto& q : queues_) q.clear();
-      if (forced || pending >= kParallelTakeMin) {
-        // Each lane collects its contiguous shard range into its own
-        // (just-cleared) queue; concatenation in shard order is ascending.
-        pool_->run(static_cast<std::uint32_t>(shard_starts_.size() - 1),
-                   [this](std::uint32_t s) {
-                     auto& q = queues_[s];
-                     for (NodeId v = shard_starts_[s];
-                          v < shard_starts_[s + 1]; ++v) {
-                       if (enabled_[v]) {
-                         enabled_[v] = 0;
-                         // ssmst-lint: allow(R1): q aliases a member shard
-                         // queue; capacity is warm after the first drain.
-                         q.push_back(v);
-                       }
-                     }
-                   });
-        for (auto& q : queues_) {
-          drain_.insert(drain_.end(), q.begin(), q.end());
-          q.clear();
-        }
-      } else {
-        drain_.reserve(pending);
-        for (NodeId v = 0; v < n; ++v) {
-          if (enabled_[v]) {
-            enabled_[v] = 0;
-            drain_.push_back(v);
-          }
+    }
+    if (shard_count() > 1 &&
+        (async_drain_ == AsyncDrain::kParallel ||
+         pending >= kParallelTakeMin)) {
+      take_parallel(dense);
+    } else if (dense) {
+      drain_.reserve(pending);
+      for (NodeId v = 0; v < n; ++v) {
+        if (enabled_[v]) {
+          enabled_[v] = 0;
+          drain_.push_back(v);
         }
       }
     } else {
-      // Sparse sharded claim: sort each shard's queue (parallel when the
-      // work warrants it), concatenate in shard order.
-      if (forced || pending >= kParallelTakeMin) {
-        pool_->run(static_cast<std::uint32_t>(queues_.size()),
-                   [this](std::uint32_t s) {
-                     std::sort(queues_[s].begin(), queues_[s].end());
-                   });
-      } else {
-        for (auto& q : queues_) std::sort(q.begin(), q.end());
-      }
       for (auto& q : queues_) {
+        std::sort(q.begin(), q.end());
         for (NodeId v : q) enabled_[v] = 0;
         drain_.insert(drain_.end(), q.begin(), q.end());
         q.clear();
       }
+    }
+  }
+
+  /// The pool half of take_enabled, one lane per shard. Dense: each lane
+  /// collects its contiguous shard range from the bitmap into its own
+  /// (just-cleared) queue. Sparse: each lane sorts its shard's queue.
+  /// Either way concatenation in shard order is ascending.
+  __attribute__((noinline)) void take_parallel(bool dense) {
+    if (dense) {
+      pool_->run(shard_count(), [this](std::uint32_t s) {
+        auto& q = queues_[s];
+        for (NodeId v = shard_starts_[s]; v < shard_starts_[s + 1]; ++v) {
+          if (enabled_[v]) {
+            enabled_[v] = 0;
+            // ssmst-lint: allow(R1): q aliases a member shard
+            // queue; capacity is warm after the first drain.
+            q.push_back(v);
+          }
+        }
+      });
+    } else {
+      pool_->run(shard_count(), [this](std::uint32_t s) {
+        std::sort(queues_[s].begin(), queues_[s].end());
+      });
+    }
+    for (auto& q : queues_) {
+      if (!dense) {
+        for (NodeId v : q) enabled_[v] = 0;
+      }
+      drain_.insert(drain_.end(), q.begin(), q.end());
+      q.clear();
     }
   }
 
@@ -998,20 +891,13 @@ class Simulation {
     }
   }
 
-  /// Whether this unit's drain runs on the sharded path. Requires shards
-  /// (pool attached, >= 2 lanes); kAuto additionally requires the drain to
-  /// be large enough that the stepping work amortizes the epoch barriers.
+  /// Whether this unit's drain runs on the pool. Requires several shards;
+  /// kAuto additionally requires the drain to be large enough that the
+  /// stepping work amortizes the epoch barriers.
   bool use_parallel_drain() const {
-    if (shard_starts_.size() <= 2 || drain_.empty()) return false;
-    switch (async_drain_) {
-      case AsyncDrain::kSequential:
-        return false;
-      case AsyncDrain::kParallel:
-        return true;
-      case AsyncDrain::kAuto:
-        return drain_.size() >= kAutoParallelDrainMin;
-    }
-    return false;
+    if (shard_count() == 1 || drain_.empty()) return false;
+    return async_drain_ == AsyncDrain::kParallel ||
+           drain_.size() >= kAutoParallelDrainMin;
   }
 
   /// Executes the disciplined drain on the calling thread — the reference
@@ -1090,7 +976,7 @@ class Simulation {
   /// dirty propagation. Bit-identical to drain_sequential at every thread
   /// count for every discipline.
   __attribute__((noinline)) void drain_parallel(std::uint64_t stamp) {
-    const auto shards = static_cast<std::uint32_t>(shard_starts_.size() - 1);
+    const std::uint32_t shards = shard_count();
     ensure_parallel_scratch(shards);
     const bool forced = async_drain_ == AsyncDrain::kParallel;
 
@@ -1166,7 +1052,6 @@ class Simulation {
     // independent of the chunking — and equal to the sequential single
     // fold. ---
     acc_chunk_ = (drain_.size() + shards - 1) / shards;
-    shard_accs_.assign(shards, SweepAcc{});
     pool_->run(shards, [this](std::uint32_t c) {
       const std::size_t lo = std::size_t{c} * acc_chunk_;
       const std::size_t hi = std::min(drain_.size(), lo + acc_chunk_);
@@ -1174,7 +1059,7 @@ class Simulation {
       for (std::size_t i = lo; i < hi; ++i) {
         record_state(drain_[i], regs_[drain_[i]], sweep_stamp_, acc);
       }
-      if (lo < hi) shard_accs_[c] = acc;
+      shard_accs_[c] = acc;
     });
     for (const SweepAcc& acc : shard_accs_) fold(acc, stamp);
 
@@ -1275,42 +1160,30 @@ class Simulation {
     return drain_gen_ctr_;
   }
 
-  /// Steps nodes [lo, hi) of the current round into the back buffer and
-  /// accumulates their accounting into `acc`. Reads only the front buffer
-  /// (plus the disjoint alarm_time_ slots of its own range), so disjoint
-  /// ranges may sweep concurrently.
-  void sweep_range(NodeId lo, NodeId hi, std::uint64_t stamp, bool coherent,
-                   SweepAcc& acc) {
-    if (rewrites_register_) {
-      if (coherent) {
-        // Coherent zero-copy path: the back buffer holds each node's own
-        // round-(t-1) register, so the protocol may reuse step-invariant
-        // fields in place instead of rewriting them.
-        for (NodeId v = lo; v < hi; ++v) {
-          NeighborReader<State> nbr(*g_, regs_, v);
-          proto_->step_into_coherent(v, regs_[v], scratch_[v], nbr,
-                                     stats_.time);
-          record_state(v, scratch_[v], stamp, acc);
-        }
-      } else {
-        // Zero-copy path: the protocol fully rewrites the back buffer.
-        for (NodeId v = lo; v < hi; ++v) {
-          NeighborReader<State> nbr(*g_, regs_, v);
-          proto_->step_into(v, regs_[v], scratch_[v], nbr, stats_.time);
-          record_state(v, scratch_[v], stamp, acc);
-        }
-      }
-    } else {
-      // Seeded path: one per-node seed copy into the back buffer, then
-      // the in-place step — still a single fused sweep and a single
-      // virtual dispatch per activation, with no bulk register-file copy.
-      for (NodeId v = lo; v < hi; ++v) {
-        scratch_[v] = regs_[v];
+  /// Steps shard s of the current round into the back buffer — a seed
+  /// copy of each node's register, then the in-place step — and leaves the
+  /// shard's accounting delta in shard_accs_[s]. The seed copies are made
+  /// one chunk at a time as a single block copy; a chunk is small enough
+  /// to stay in L1 until its nodes are stepped, and the block copy is
+  /// cheaper than one copy per register. Reads only the front buffer (plus
+  /// the disjoint alarm_time_ slots of its own range), so distinct shards
+  /// may sweep concurrently.
+  void sweep_shard(std::uint32_t s) {
+    const NodeId hi = shard_starts_[s + 1];
+    const std::uint64_t time = stats_.time;
+    const std::uint64_t stamp = sweep_stamp_;
+    SweepAcc acc;
+    for (NodeId lo = shard_starts_[s]; lo < hi;) {
+      const NodeId end = hi - lo > kSeedChunk ? lo + kSeedChunk : hi;
+      std::copy(regs_.begin() + lo, regs_.begin() + end, scratch_.begin() + lo);
+      for (NodeId v = lo; v < end; ++v) {
         NeighborReader<State> nbr(*g_, regs_, v);
-        proto_->step(v, scratch_[v], nbr, stats_.time);
+        proto_->step(v, scratch_[v], nbr, time);
         record_state(v, scratch_[v], stamp, acc);
       }
+      lo = end;
     }
+    shard_accs_[s] = acc;
   }
 
   void record_state(NodeId v, const State& s, std::uint64_t stamp,
@@ -1334,46 +1207,26 @@ class Simulation {
     }
   }
 
-  /// Full accounting pass over the current registers (construction time).
-  /// Sharded across the pool when one is attached — record_state touches
-  /// only per-node slots, and the per-shard deltas fold in shard order, so
-  /// the result is bit-identical to the serial pass.
+  /// Full accounting pass over the current registers (construction time
+  /// and legacy full-sweep units), one shard per lane. record_state
+  /// touches only per-node slots and the per-shard deltas fold in shard
+  /// order, so the result is independent of the shard layout.
   void record_pass(std::uint64_t stamp) {
-    if (shard_starts_.size() > 2) {
-      const auto shards =
-          static_cast<std::uint32_t>(shard_starts_.size() - 1);
-      shard_accs_.assign(shards, SweepAcc{});
-      pool_->run(shards, [this, stamp](std::uint32_t s) {
-        SweepAcc acc;
-        for (NodeId v = shard_starts_[s]; v < shard_starts_[s + 1]; ++v) {
-          record_state(v, regs_[v], stamp, acc);
-          const std::size_t pb = proto_->state_phys_bytes(regs_[v]);
-          if (pb > acc.peak_phys_bytes) acc.peak_phys_bytes = pb;
-        }
-        shard_accs_[s] = acc;
-      });
-      for (const SweepAcc& acc : shard_accs_) fold(acc, stamp);
-    } else {
+    sweep_stamp_ = stamp;
+    each_shard([this](std::uint32_t s) {
       SweepAcc acc;
-      for (NodeId v = 0; v < g_->n(); ++v) {
-        record_state(v, regs_[v], stamp, acc);
+      for (NodeId v = shard_starts_[s]; v < shard_starts_[s + 1]; ++v) {
+        record_state(v, regs_[v], sweep_stamp_, acc);
         const std::size_t pb = proto_->state_phys_bytes(regs_[v]);
         if (pb > acc.peak_phys_bytes) acc.peak_phys_bytes = pb;
       }
-      fold(acc, stamp);
-    }
-  }
-
-  /// The one legitimate way to move the coherence flag: primary and
-  /// shadow in lockstep (the audit detects a corrupted primary by the
-  /// divergence; see the total-state fault model in the class comment).
-  void set_coherence(bool c) {
-    back_coherent_ = c;
-    coherence_shadow_ = c;
+      shard_accs_[s] = acc;
+    });
+    for (const SweepAcc& acc : shard_accs_) fold(acc, stamp);
   }
 
   /// The audit sweep behind audit()/audit_into (class comment: queue <->
-  /// bitmap, shard partition, stamp, register and coherence invariants).
+  /// bitmap, shard partition, stamp and register invariants).
   /// Scratch is the lazily sized audit_seen_ member; the caller's report
   /// is the only allocation.
   __attribute__((noinline)) void run_audit(AuditReport& r) {
@@ -1389,35 +1242,24 @@ class Simulation {
         r.suspects.push_back(v);
       }
     };
-    auto check_entry = [&](NodeId v, bool misplaced) {
-      if (v >= n) {  // defensive: a corrupted entry must not index OOB
-        ++r.misplaced_queue_entries;
-        return;
-      }
-      if (misplaced) {
-        ++r.misplaced_queue_entries;
-        suspect(v);
-      }
-      if (audit_seen_[v]++ != 0) {
-        ++r.duplicate_queue_entries;
-        suspect(v);
-      }
-      if (!enabled_[v]) {
-        ++r.queued_not_enabled;
-        suspect(v);
-      }
-    };
-    for (NodeId v : queue_) {
-      // The flat queue is a misplaced home for every entry when the
-      // sharded layout is live (and vice versa for stale shard queues).
-      check_entry(v, /*misplaced=*/!node_shard_.empty());
-    }
     for (std::size_t s = 0; s < queues_.size(); ++s) {
       for (NodeId v : queues_[s]) {
-        const bool misplaced =
-            node_shard_.empty() ||
-            (v < n && node_shard_[v] != static_cast<std::uint16_t>(s));
-        check_entry(v, misplaced);
+        if (v >= n) {  // defensive: a corrupted entry must not index OOB
+          ++r.misplaced_queue_entries;
+          continue;
+        }
+        if (node_shard_[v] != s) {
+          ++r.misplaced_queue_entries;
+          suspect(v);
+        }
+        if (audit_seen_[v]++ != 0) {
+          ++r.duplicate_queue_entries;
+          suspect(v);
+        }
+        if (!enabled_[v]) {
+          ++r.queued_not_enabled;
+          suspect(v);
+        }
       }
     }
     const bool clock32_valid = stats_.time < kNever32;
@@ -1442,7 +1284,6 @@ class Simulation {
         full_drain_stamp_ > now32) {
       ++r.stamp_violations;
     }
-    if (back_coherent_ != coherence_shadow_) ++r.coherence_violations;
   }
 
   /// Watchdog budget gate: one predictable branch per round/unit when
@@ -1470,34 +1311,18 @@ class Simulation {
     }
     // Round-0 reseed: every node re-enabled, queue bookkeeping rebuilt
     // from scratch (a dangling dirty bit or stray entry would survive a
-    // bare blanket re-enable), staleness history erased, coherence demoted
-    // (both copies — the repair also resynchronizes a flipped flag to the
-    // safe side).
+    // bare blanket re-enable), staleness history erased.
     enable_all_pending_ = true;
     std::fill(enabled_.begin(), enabled_.end(), 0);
-    queue_.clear();
     for (auto& q : queues_) q.clear();
     std::fill(last_step_.begin(), last_step_.end(), kNever32);
     full_drain_stamp_ = kNever32;
-    set_coherence(false);
     ++stats_.repairs;
     watchdog_window_start_ = stats_.time;
   }
 
   const WeightedGraph* g_;
   Protocol<State>* proto_;
-  bool rewrites_register_ = false;
-  /// True while the back buffer provably holds each node's previous-round
-  /// register: set after every completed sync round, cleared by any
-  /// non-const register access, by async units that activate at least one
-  /// node (a quiescent drain writes nothing), and at construction (the
-  /// back buffer starts value-initialized). Gates step_into_coherent.
-  /// Written ONLY through set_coherence (keeps the shadow in lockstep) —
-  /// except by aux_flip_coherence_flag, which models corrupting it.
-  bool back_coherent_ = false;
-  /// Redundant copy of back_coherent_ maintained by set_coherence; the
-  /// audit reports any divergence (total-state fault model).
-  bool coherence_shadow_ = false;
   /// Opaque ownership token from Protocol::adopt_register_file — the
   /// per-simulation arena behind stripe-view registers. Declared before
   /// the register vectors so it is destroyed after them.
@@ -1509,12 +1334,11 @@ class Simulation {
 
   // Activation-queue state (see the class comment for the contract).
   std::vector<std::uint8_t> enabled_;   ///< dirty bitmap: node is pending
-  /// Pending activations. Exactly one layout is live at a time, switched
-  /// by compute_shards: the flat queue_ when unsharded (node_shard_
-  /// empty — the branch-cheap serial hot path), the per-CSR-shard queues_
-  /// (declared with the parallel-drain block below, away from this hot
-  /// cluster) otherwise.
-  std::vector<NodeId> queue_;
+  /// Pending activations, one queue per shard. Each queue holds only nodes
+  /// of its shard's contiguous CSR range, so shard-order concatenation of
+  /// sorted queues is the canonical ascending drain.
+  std::vector<std::vector<NodeId>> queues_;
+  std::vector<std::uint16_t> node_shard_;  ///< node -> shard
   std::vector<NodeId> drain_;           ///< the unit in flight / last unit
   std::vector<NodeId> changed_;         ///< register-changing steps, per unit
   /// Unit of each node's last *sparse* activation, truncated to 32 bits
@@ -1529,23 +1353,15 @@ class Simulation {
   bool enable_all_pending_ = true;
   bool full_sweep_ = false;  ///< legacy daemon: activate all n every unit
 
-  ThreadPool* pool_ = nullptr;          ///< not owned; nullptr = serial
-  std::vector<NodeId> shard_starts_;    ///< shards + 1 boundaries, or empty
-  std::vector<SweepAcc> shard_accs_;    ///< per-shard deltas of one round
-  std::uint64_t sweep_stamp_ = 0;       ///< round context for the shard task
-  bool sweep_coherent_ = false;         ///< (written before pool_->run)
+  ThreadPool* pool_ = nullptr;          ///< not owned; nullptr = one shard
+  std::vector<NodeId> shard_starts_;    ///< shards + 1 boundaries
+  std::vector<SweepAcc> shard_accs_;    ///< per-shard deltas of one pass
+  std::uint64_t sweep_stamp_ = 0;       ///< pass context for the shard task
 
   // Parallel async drain (see the sharded-drain contract). Tuning
   // thresholds only pick the execution strategy — results are identical
   // on either side of every threshold.
   AsyncDrain async_drain_ = AsyncDrain::kAuto;
-  /// Per-shard pending queues (the sharded counterpart of queue_). Each
-  /// queue holds only nodes of its shard's contiguous CSR range, so
-  /// shard-order concatenation of sorted queues is the canonical
-  /// ascending drain.
-  std::vector<std::vector<NodeId>> queues_;
-  std::vector<std::uint16_t> node_shard_;  ///< node -> shard; empty = serial
-  std::vector<NodeId> rebucket_;        ///< compute_shards scratch
   static constexpr std::uint32_t kUnassignedEpoch =
       std::numeric_limits<std::uint32_t>::max();
   static constexpr std::size_t kAutoParallelDrainMin = 1024;

@@ -1,7 +1,6 @@
 #include "verify/verifier.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "labels/verify1.hpp"
 #include "util/bits.hpp"
@@ -90,35 +89,6 @@ void VerifierProtocol::step(NodeId v, VerifierState& self,
   run_show(v, self, nbr);
   if (self.alarm != AlarmReason::kNone) return;
   run_ask(v, self, nbr);
-}
-
-void VerifierProtocol::step_into(NodeId v, const VerifierState& prev,
-                                 VerifierState& next,
-                                 const NeighborReader<VerifierState>& nbr,
-                                 std::uint64_t time) {
-  // The register is one flat trivially-copyable block, so transferring the
-  // round-t snapshot into the back buffer is a single memcpy (no heap
-  // traffic), after which the in-place step computes round t+1.
-  next = prev;
-  step(v, next, nbr, time);
-}
-
-void VerifierProtocol::step_into_coherent(
-    NodeId v, const VerifierState& prev, VerifierState& next,
-    const NeighborReader<VerifierState>& nbr, std::uint64_t time) {
-  // The engine guarantees `next` is this node's round-(t-1) register as the
-  // engine wrote it. `step` never touches `labels` or `parent_port`, so
-  // those already hold their round-(t+1) values in `next` (they equal
-  // prev's — asserted below in debug builds); only the runtime blocks need
-  // the round-t values before the in-place step runs.
-  assert(next.parent_port == prev.parent_port && next.labels == prev.labels);
-  next.train[0] = prev.train[0];
-  next.train[1] = prev.train[1];
-  next.show = prev.show;
-  next.ask = prev.ask;
-  next.want = prev.want;
-  next.alarm = prev.alarm;
-  step(v, next, nbr, time);
 }
 
 void VerifierProtocol::run_trains(NodeId v, VerifierState& self,

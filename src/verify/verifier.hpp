@@ -166,24 +166,6 @@ class VerifierProtocol final : public Protocol<VerifierState> {
                            const NeighborReader<VerifierState>& nbr,
                            std::uint64_t time) override;
 
-  /// Zero-copy sync hooks. The register is one flat trivially-copyable
-  /// block, so step_into transfers `prev` with a single memcpy and runs
-  /// the in-place step — no allocation, ever. step_into_coherent goes
-  /// further: `step` never writes the proof labels or the component, so
-  /// when the engine guarantees `next` already holds this node's previous
-  /// register, only the small runtime blocks (trains/show/ask/want/alarm)
-  /// are transferred and the O(log n)-sized label payload is not touched
-  /// at all — the true prev->next rewrite. Behaviour is pinned to `step`
-  /// by the schedule-equivalence tests.
-  SSMST_HOT_PATH void step_into(NodeId v, const VerifierState& prev,
-                                VerifierState& next,
-                                const NeighborReader<VerifierState>& nbr,
-                                std::uint64_t time) override;
-  SSMST_HOT_PATH void step_into_coherent(
-      NodeId v, const VerifierState& prev, VerifierState& next,
-      const NeighborReader<VerifierState>& nbr, std::uint64_t time) override;
-  bool rewrites_register() const override { return true; }
-
   /// Activation-queue change test (exact, O(1) on top of step): alarms are
   /// sticky — an alarmed node's step returns immediately, so it is
   /// quiescent until a register write re-enables it; every live node

@@ -93,9 +93,10 @@ TEST(AllocFree, SteadyStateVerifierRoundAllocatesNothing) {
   EXPECT_FALSE(h.sim().first_alarm_time().has_value());
 }
 
-TEST(AllocFree, FullStepIntoPathAllocatesNothing) {
-  // Rounds right after an external register mutation take the full
-  // (non-coherent) step_into path; it must be allocation-free too.
+TEST(AllocFree, RoundsAfterMutableStateAccessAllocateNothing) {
+  // A mutable state(v) access enables v's closed neighbourhood in the
+  // activation queue; interleaving such accesses with sync rounds must
+  // stay allocation-free too. Flipping nothing keeps behaviour identical.
   Rng rng(4);
   auto g = gen::random_connected(128, 64, rng);
   VerifierConfig cfg;
@@ -104,14 +105,12 @@ TEST(AllocFree, FullStepIntoPathAllocatesNothing) {
 
   const std::uint64_t allocs = count_allocations([&] {
     for (int r = 0; r < 8; ++r) {
-      // Touching a register via the mutable accessor demotes the next
-      // round to the full rewrite; flipping nothing keeps behaviour
-      // identical while still exercising that path.
       (void)h.sim().state(0);
       h.sim().sync_round();
     }
   });
-  EXPECT_EQ(allocs, 0u) << "full step_into rounds must not allocate";
+  EXPECT_EQ(allocs, 0u)
+      << "rounds after a mutable state access must not allocate";
 }
 
 TEST(AllocFree, ShardedSteadyStateRoundAllocatesNothing) {
@@ -132,32 +131,24 @@ TEST(AllocFree, ShardedSteadyStateRoundAllocatesNothing) {
   EXPECT_EQ(allocs, 0u) << "sharded steady-state rounds must not allocate";
 }
 
-TEST(AllocFree, AsyncUnitDemotesAndOneSyncRoundReestablishesCoherence) {
-  // async_unit mutates the front buffer in place, so it demotes back-buffer
-  // coherence — but only until the next sync round: the full step_into
-  // sweep rewrites the whole back buffer, so that single round
-  // re-establishes coherence by itself (no reseed), and the rounds after
-  // it are back on the coherent zero-copy path, still allocation-free.
+TEST(AllocFree, SyncRoundsAfterAsyncUnitAllocateNothing) {
+  // async_unit steps the front buffer in place; the sync rounds that
+  // follow it re-seed the back buffer from the front one and must stay
+  // allocation-free.
   Rng rng(6);
   auto g = gen::random_connected(160, 80, rng);
   VerifierConfig cfg;
   VerifierHarness h(g, cfg, 5);
   ASSERT_FALSE(h.run(48).has_value());
-  ASSERT_TRUE(h.sim().back_buffer_coherent());
 
   Rng daemon(7);
   h.sim().async_unit(daemon, DaemonOrder::kRoundRobin);
-  EXPECT_FALSE(h.sim().back_buffer_coherent());
-
-  h.sim().sync_round();
-  EXPECT_TRUE(h.sim().back_buffer_coherent());
   ASSERT_FALSE(h.sim().first_alarm_time().has_value());
 
   const std::uint64_t allocs = count_allocations([&] {
     for (int r = 0; r < 16; ++r) h.sim().sync_round();
   });
-  EXPECT_EQ(allocs, 0u)
-      << "post-async coherent rounds must not allocate";
+  EXPECT_EQ(allocs, 0u) << "sync rounds after an async unit must not allocate";
   EXPECT_FALSE(h.sim().first_alarm_time().has_value());
 }
 

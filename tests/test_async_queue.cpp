@@ -305,7 +305,6 @@ TEST(ShardedDrain, ParallelMatchesSequentialPerUnit) {
         auto marker = make_labels(g);
         VerifierProtocol pa(g, cfg), pb(g, cfg);
         VerifierSim a(g, pa, pa.initial_states(marker));
-        a.set_async_drain(AsyncDrain::kSequential);
         ThreadPool pool(threads);
         VerifierSim b(g, pb, pb.initial_states(marker), &pool);
         b.set_async_drain(AsyncDrain::kParallel);
@@ -377,7 +376,6 @@ TEST(ShardedDrain, KkpVerdictParityWithBatchInjection) {
     auto marker = make_labels(g);
     KkpVerifierProtocol pa(g), pb(g);
     Simulation<KkpState> a(g, pa, pa.initial_states(marker));
-    a.set_async_drain(AsyncDrain::kSequential);
     ThreadPool pool(4);
     Simulation<KkpState> b(g, pb, pb.initial_states(marker), &pool);
     b.set_async_drain(AsyncDrain::kParallel);
@@ -453,7 +451,6 @@ TEST(ShardedDrain, PoolSwitchMidRunPreservesSchedule) {
   auto marker = make_labels(g);
   KkpVerifierProtocol pa(g), pb(g);
   Simulation<KkpState> a(g, pa, pa.initial_states(marker));
-  a.set_async_drain(AsyncDrain::kSequential);
   ThreadPool pool(4);
   Simulation<KkpState> b(g, pb, pb.initial_states(marker));
   Rng da(19), db(19), fa(23), fb(23);

@@ -1,8 +1,8 @@
 // Total-state fault model tests (sim/faults.hpp aux injectors,
 // Simulation::audit(), and the bounded-staleness watchdog): the paper's
 // adversary corrupts ALL memory, so the engine's own dirty bitmaps,
-// pending queues, staleness stamps, coherence flag and label headers are
-// fault surface too. These tests pin (a) that every injector's damage is
+// pending queues, staleness stamps and label headers are fault surface
+// too. These tests pin (a) that every injector's damage is
 // visible to the auditor (or — for the consistent queue drop — provably
 // invisible, the motivating gap), (b) the pinned missed-detection failure
 // without the watchdog and bounded detection with it, and (c) the
@@ -10,7 +10,7 @@
 //
 // Two fixtures: the dense verifier harness runs in blanket re-enable mode
 // (every node changes every unit, so the queue is never materialized) and
-// exercises the stamp/coherence/register/watchdog surface; the sparse
+// exercises the stamp/register/watchdog surface; the sparse
 // ResetProtocol sim quiesces, so seeding one node materializes a real
 // activation queue for the queue-entry injectors.
 
@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "selfstab/reset.hpp"
@@ -181,18 +182,6 @@ TEST(AuxAudit, SkewedStampsAreReported) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(AuxAudit, FlippedCoherenceFlagIsReported) {
-  SteadyVerifier f(48, 102);
-  ASSERT_TRUE(f.sim().audit().ok());
-  f.sim().aux_flip_coherence_flag();
-  const AuditReport r = f.sim().audit();
-  EXPECT_EQ(r.coherence_violations, 1u);
-  EXPECT_FALSE(r.ok());
-  // Flipping back restores agreement with the shadow.
-  f.sim().aux_flip_coherence_flag();
-  EXPECT_TRUE(f.sim().audit().ok());
-}
-
 TEST(AuxAudit, TruncatedLabelHeaderIsReported) {
   SteadyVerifier f(48, 103);
   const std::vector<NodeId> victims = {5};
@@ -211,10 +200,11 @@ TEST(AuxAudit, TruncatedLabelHeaderIsReported) {
               r.suspects.end());
 }
 
-TEST(AuxAudit, ShardedQueueLayoutAuditsTheSameInvariants) {
-  // The per-shard layout (pool attached) must be covered by the same
-  // audit: drops, duplicates and flips land in the shard queues.
-  SparseResetSim f(64, 205, /*threads=*/2);
+/// Duplicate and drop injections land in the shard queues of a
+/// `threads`-lane engine and the audit sees them, without reporting any
+/// entry as misplaced (both injectors keep entries in their own shard).
+void ExpectQueueLayoutAudits(unsigned threads) {
+  SparseResetSim f(64, 205, threads);
   f.sim.set_async_drain(AsyncDrain::kParallel);
   f.seed(9);
   ASSERT_TRUE(f.sim.audit().ok());
@@ -229,6 +219,16 @@ TEST(AuxAudit, ShardedQueueLayoutAuditsTheSameInvariants) {
   const AuditReport r = f.sim.audit();
   EXPECT_GE(r.duplicate_queue_entries, 1u);
   EXPECT_GE(r.enabled_not_queued, 1u);
+  EXPECT_EQ(r.misplaced_queue_entries, 0u);
+}
+
+TEST(AuxAudit, ShardedQueueLayoutAuditsTheSameInvariants) {
+  // Every engine keeps one pending queue per shard, the serial one
+  // included (one shard), so the same audit must hold at every width.
+  for (unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExpectQueueLayoutAudits(threads);
+  }
 }
 
 TEST(AuxAudit, ScrambleIsSeedDeterministic) {
@@ -292,9 +292,9 @@ TEST(Watchdog, AuxQueueDropDetectsWithinBudgetWithWatchdog) {
 }
 
 TEST(Watchdog, RepairRestoresQueueAndStampInvariants) {
-  // Faults the round-0 reseed CAN rewrite (queue bookkeeping, stamps,
-  // coherence) are gone after one trip: the engine audits clean again and
-  // the strike counter resets rather than escalating. Injected on a
+  // Faults the round-0 reseed CAN rewrite (queue bookkeeping, stamps) are
+  // gone after one trip: the engine audits clean again and the strike
+  // counter resets rather than escalating. Injected on a
   // QUIESCENT engine so the damage persists until the trip sees it —
   // pending entries would be drained (and thereby healed) by the very
   // units that advance the clock toward the trip.
@@ -302,13 +302,11 @@ TEST(Watchdog, RepairRestoresQueueAndStampInvariants) {
   f.sim.aux_flip_enabled_bit(5);  // dangling dirty bit, nothing queued
   aux_skew_stamps(f.sim, std::array<NodeId, 1>{3},
                   skewed_stamp(f.sim.time(), 1000));
-  f.sim.aux_flip_coherence_flag();
   {
     const AuditReport r = f.sim.audit();
     ASSERT_FALSE(r.ok());
     EXPECT_GE(r.enabled_not_queued, 1u);
     EXPECT_GE(r.stamp_violations, 1u);
-    EXPECT_EQ(r.coherence_violations, 1u);
   }
 
   f.sim.set_watchdog(/*budget_units=*/4);

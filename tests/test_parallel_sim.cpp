@@ -1,11 +1,10 @@
 // Schedule-equivalence harness for the parallel execution layer.
 //
 // The sharded sync_round promises bit-identical registers and identical
-// SimulationStats to the serial sweep at every thread count, for both the
-// seeded `step` path and the zero-copy `step_into` path; BatchRunner
-// promises per-job results independent of thread count and execution
-// order. These tests are what makes the threaded simulator trustworthy —
-// they are the ones CI also runs under ThreadSanitizer.
+// SimulationStats to the one-shard sweep at every thread count;
+// BatchRunner promises per-job results independent of thread count and
+// execution order. These tests are what makes the threaded simulator
+// trustworthy — they are the ones CI also runs under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -108,9 +107,9 @@ void ExpectScheduleEquivalence(const WeightedGraph& g,
   }
 }
 
-// ----------------------------------------------- toy protocols, both paths
+// -------------------------------------------------------------- toy protocol
 
-/// Seeded-path protocol with data-dependent state_bits and a late alarm,
+/// Toy protocol with data-dependent state_bits and a late alarm,
 /// so the peak-bits and alarm reductions are genuinely exercised.
 struct ToyState {
   std::uint64_t value = 0;
@@ -140,33 +139,6 @@ class SeededToy final : public Protocol<ToyState> {
   }
 };
 
-class ZeroCopyToy final : public Protocol<ToyState> {
- public:
-  void step(NodeId v, ToyState& self, const NeighborReader<ToyState>& nbr,
-            std::uint64_t time) override {
-    step_into(v, self, self, nbr, time);
-  }
-  void step_into(NodeId v, const ToyState& prev, ToyState& next,
-                 const NeighborReader<ToyState>& nbr,
-                 std::uint64_t) override {
-    std::uint64_t m = prev.value;
-    for (std::uint32_t p = 0; p < nbr.degree(); ++p) {
-      m = std::max(m, nbr.at_port(p).value);
-    }
-    next.value = m + 1;
-    next.alarm = prev.alarm || (next.value > 40 && v % 5 == 0);
-  }
-  bool rewrites_register() const override { return true; }
-  std::size_t state_bits(const ToyState& s, NodeId) const override {
-    return 8 + static_cast<std::size_t>(s.value % 57);
-  }
-  bool alarmed(const ToyState& s) const override { return s.alarm; }
-  void corrupt(ToyState& s, NodeId, Rng& rng) const override {
-    s.value = rng.next() % 97;
-    s.alarm = rng.chance(0.5);
-  }
-};
-
 std::vector<WeightedGraph> equivalence_graphs() {
   Rng rng(17);
   std::vector<WeightedGraph> gs;
@@ -183,16 +155,6 @@ TEST(ParallelSim, SeededPathMatchesSerial) {
     init[0].value = 3;
     ExpectScheduleEquivalence<ToyState>(
         g, init, [] { return std::make_unique<SeededToy>(); }, 100);
-  }
-}
-
-TEST(ParallelSim, ZeroCopyPathMatchesSerial) {
-  for (const auto& g : equivalence_graphs()) {
-    SCOPED_TRACE(g.summary());
-    std::vector<ToyState> init(g.n());
-    init[g.n() - 1].value = 9;
-    ExpectScheduleEquivalence<ToyState>(
-        g, init, [] { return std::make_unique<ZeroCopyToy>(); }, 100);
   }
 }
 
@@ -250,64 +212,6 @@ TEST(ParallelSim, SyncMstMatchesSerial) {
   ExpectSyncMstEquivalence(gen::random_connected(36, 24, rng));
   ExpectSyncMstEquivalence(gen::star(20, rng));
   ExpectSyncMstEquivalence(gen::path(28, rng));
-}
-
-// -------------------------------------- zero-copy pin: step_into ≡ step
-
-/// Forces the engine's seeded path while delegating all behaviour to a
-/// real VerifierProtocol — pins the verifier's step_into override (and
-/// the rewrites_register() fast path) to the in-place step semantics.
-class ForceSeededVerifier final : public Protocol<VerifierState> {
- public:
-  explicit ForceSeededVerifier(const WeightedGraph& g, VerifierConfig cfg)
-      : inner_(g, cfg) {}
-  void step(NodeId v, VerifierState& self,
-            const NeighborReader<VerifierState>& nbr,
-            std::uint64_t time) override {
-    inner_.step(v, self, nbr, time);
-  }
-  bool rewrites_register() const override { return false; }
-  // The arena hooks must match the real protocol's, or the per-simulation
-  // label storage (and the peak_register_bytes stat) would diverge from
-  // the zero-copy sim this one is compared against.
-  std::shared_ptr<void> adopt_register_file(
-      std::vector<VerifierState>& regs) override {
-    return inner_.adopt_register_file(regs);
-  }
-  std::size_t state_phys_bytes(const VerifierState& s) const override {
-    return inner_.state_phys_bytes(s);
-  }
-  std::size_t state_bits(const VerifierState& s, NodeId v) const override {
-    return inner_.state_bits(s, v);
-  }
-  bool alarmed(const VerifierState& s) const override {
-    return inner_.alarmed(s);
-  }
-
- private:
-  VerifierProtocol inner_;
-};
-
-TEST(ParallelSim, VerifierStepIntoPinnedToStep) {
-  Rng rng(41);
-  auto g = gen::random_connected(36, 28, rng);
-  VerifierConfig cfg;
-  const MarkerOutput marker = make_labels(g, cfg.pack);
-  VerifierProtocol zc_proto(g, cfg);
-  ASSERT_TRUE(zc_proto.rewrites_register());
-  ForceSeededVerifier seeded_proto(g, cfg);
-  std::vector<VerifierState> init = zc_proto.initial_states(marker);
-  Rng crng(5);
-  zc_proto.corrupt(init[3], 3, crng);
-
-  VerifierSim zc(g, zc_proto, init);
-  VerifierSim seeded(g, seeded_proto, init);
-  for (int r = 0; r < 120; ++r) {
-    zc.sync_round();
-    seeded.sync_round();
-    ASSERT_TRUE(zc.states() == seeded.states()) << "round " << r;
-    ASSERT_TRUE(zc.stats() == seeded.stats()) << "round " << r;
-  }
 }
 
 // ---------------------------------------------------------- BatchRunner
@@ -444,98 +348,6 @@ TEST(ParallelSim, ConstructorPoolShardsLikeSetThreadPool) {
         << "round " << r;
     ASSERT_TRUE(at_ctor.stats() == serial.stats()) << "round " << r;
     ASSERT_TRUE(after.stats() == serial.stats()) << "round " << r;
-  }
-}
-
-// ----------------------- coherent zero-copy pin: step_into_coherent ≡ step
-//
-// With no external register access between rounds, the engine promotes
-// zero-copy protocols to step_into_coherent (the verifier then skips
-// copying its step-invariant label payload entirely). These tests compare
-// registers through *const* access only, so the coherent path genuinely
-// engages — and then corrupt registers mid-run through the mutable
-// accessor to prove the engine demotes to the full rewrite exactly when
-// the coherence guarantee breaks.
-
-void ExpectCoherentEquivalence(const WeightedGraph& g, unsigned threads) {
-  VerifierConfig cfg;
-  const MarkerOutput marker = make_labels(g, cfg.pack);
-  VerifierProtocol zc_proto(g, cfg);
-  ASSERT_TRUE(zc_proto.rewrites_register());
-  ForceSeededVerifier seeded_proto(g, cfg);
-  const auto init = zc_proto.initial_states(marker);
-
-  ThreadPool pool(threads);
-  Simulation<VerifierState> zc(g, zc_proto, init,
-                               threads > 1 ? &pool : nullptr);
-  Simulation<VerifierState> seeded(g, seeded_proto, init);
-  auto run_and_compare = [&](int rounds) {
-    for (int r = 0; r < rounds; ++r) {
-      zc.sync_round();
-      seeded.sync_round();
-      ASSERT_TRUE(std::as_const(zc).states() ==
-                  std::as_const(seeded).states())
-          << "round " << r;
-      ASSERT_TRUE(zc.stats() == seeded.stats()) << "round " << r;
-    }
-  };
-  run_and_compare(60);
-  // Identical mid-run corruption through the mutable accessor on both
-  // sims: labels change behind the engine's back, so the next zc round
-  // must fall back to the full step_into rewrite.
-  Rng ca(77), cb(77);
-  const NodeId victim = g.n() / 3;
-  zc_proto.corrupt(zc.state(victim), victim, ca);
-  zc_proto.corrupt(seeded.state(victim), victim, cb);
-  run_and_compare(60);
-}
-
-TEST(ParallelSim, CoherentVerifierPathMatchesStep) {
-  Rng rng(71);
-  auto g = gen::random_connected(40, 30, rng);
-  ExpectCoherentEquivalence(g, 1);
-  ExpectCoherentEquivalence(g, 4);
-}
-
-TEST(ParallelSim, CoherentVerifierPathMatchesStepOnStar) {
-  Rng rng(72);
-  auto g = gen::star(25, rng);
-  ExpectCoherentEquivalence(g, 1);
-  ExpectCoherentEquivalence(g, 4);
-}
-
-TEST(ParallelSim, CoherentVerifierPathMatchesStepOnPath) {
-  Rng rng(73);
-  auto g = gen::path(32, rng);
-  ExpectCoherentEquivalence(g, 1);
-  ExpectCoherentEquivalence(g, 4);
-}
-
-TEST(ParallelSim, AsyncUnitsDemoteCoherence) {
-  // Async units mutate the front buffer in place; a following sync round
-  // must not trust the stale back buffer. Equivalence against the seeded
-  // protocol (which never relies on coherence) proves the demotion.
-  Rng rng(74);
-  auto g = gen::random_connected(30, 20, rng);
-  VerifierConfig cfg;
-  const MarkerOutput marker = make_labels(g, cfg.pack);
-  VerifierProtocol zc_proto(g, cfg);
-  ForceSeededVerifier seeded_proto(g, cfg);
-  const auto init = zc_proto.initial_states(marker);
-  Simulation<VerifierState> zc(g, zc_proto, init);
-  Simulation<VerifierState> seeded(g, seeded_proto, init);
-  for (std::uint64_t cycle = 0; cycle < 5; ++cycle) {
-    for (int r = 0; r < 7; ++r) {
-      zc.sync_round();
-      seeded.sync_round();
-    }
-    Rng da(100 + cycle), db(100 + cycle);
-    zc.async_unit(da, DaemonOrder::kRoundRobin);
-    seeded.async_unit(db, DaemonOrder::kRoundRobin);
-    zc.sync_round();
-    seeded.sync_round();
-    ASSERT_TRUE(std::as_const(zc).states() == std::as_const(seeded).states())
-        << "cycle " << cycle;
   }
 }
 

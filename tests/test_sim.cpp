@@ -242,51 +242,6 @@ TEST(Simulation, StatsAlarmLatencyUsesEpoch) {
   EXPECT_EQ(sim.first_alarm_time(), sim.stats().first_alarm);
 }
 
-TEST(Simulation, SyncRoundMatchesZeroCopyPath) {
-  // The seeded default path and a rewrites_register() protocol must produce
-  // identical trajectories.
-  class ZcFlood final : public Protocol<FloodState> {
-   public:
-    void step(NodeId v, FloodState& self,
-              const NeighborReader<FloodState>& nbr,
-              std::uint64_t time) override {
-      step_into(v, self, self, nbr, time);
-    }
-    void step_into(NodeId, const FloodState& prev, FloodState& next,
-                   const NeighborReader<FloodState>& nbr,
-                   std::uint64_t) override {
-      std::uint64_t m = prev.value;
-      for (std::uint32_t p = 0; p < nbr.degree(); ++p) {
-        m = std::max(m, nbr.at_port(p).value);
-      }
-      next.value = m;
-      next.alarm = prev.alarm;
-    }
-    bool rewrites_register() const override { return true; }
-    std::size_t state_bits(const FloodState&, NodeId) const override {
-      return 64;
-    }
-  };
-
-  Rng rng(13);
-  auto g = gen::random_connected(24, 20, rng);
-  std::vector<FloodState> init(g.n());
-  init[5].value = 77;
-
-  FloodProtocol seeded(g);
-  ZcFlood zero_copy;
-  Simulation<FloodState> a(g, seeded, init);
-  Simulation<FloodState> b(g, zero_copy, init);
-  for (int r = 0; r < 6; ++r) {
-    a.sync_round();
-    b.sync_round();
-    for (NodeId v = 0; v < g.n(); ++v) {
-      ASSERT_EQ(a.state(v).value, b.state(v).value)
-          << "round " << r << " node " << v;
-    }
-  }
-}
-
 TEST(Simulation, AsyncRoundRobinActivatesInAscendingIndexOrder) {
   // In-place ascending activation: a value seeded at node 0 of a path
   // flushes the whole way forward within a single unit, while a value at

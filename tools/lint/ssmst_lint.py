@@ -25,10 +25,9 @@ Rules (catalogue with examples in tools/lint/README.md):
                         `warm`, not violations: capacity reuse is the idiom
                         the zero-alloc tests pin at runtime.
   R2  no-step-stripe-write
-                        Protocol step bodies (step, step_into,
-                        step_into_coherent, step_changed) never allocate
-                        label stripes (alloc_levels/alloc_pieces) and never
-                        write through mutable stripe accessors
+                        Protocol step bodies (step, step_changed) never
+                        allocate label stripes (alloc_levels/alloc_pieces)
+                        and never write through mutable stripe accessors
                         (roots()/endp()/parents()/endp_cnt()/top_perm()/
                         bot_perm() subscript-assign).
   R3  no-pool-reentry   No sync_round/async_unit call lexically inside a
@@ -90,7 +89,7 @@ GROWTH_MEMBERS = {
     "resize", "reserve", "assign", "insert", "append",
 }
 # R2: protocol step entry points and the arena-mutating surface.
-STEP_NAMES = {"step", "step_into", "step_into_coherent", "step_changed"}
+STEP_NAMES = {"step", "step_changed"}
 ARENA_ALLOC_CALLS = {"alloc_levels", "alloc_pieces"}
 STRIPE_ACCESSORS = {"roots", "endp", "parents", "endp_cnt", "top_perm",
                     "bot_perm"}
