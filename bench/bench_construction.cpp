@@ -27,16 +27,16 @@ int main() {
     auto ghs = run_ghs_boruvka(g);
     auto m = make_labels(g);
     const double logn = ceil_log2(n) + 1;
-    t.add_row({Table::num(std::uint64_t{n}), Table::num(fast.rounds),
-               Table::num(static_cast<double>(fast.rounds) / n, 2),
-               Table::num(ghs.rounds),
-               Table::num(static_cast<double>(ghs.rounds) / (n * logn), 2),
-               Table::num(std::uint64_t{fast.max_state_bits}),
-               Table::num(static_cast<double>(fast.max_state_bits) / logn, 2),
+    t.add_row({Table::num(std::uint64_t{n}), Table::num(fast.sim.rounds),
+               Table::num(static_cast<double>(fast.sim.rounds) / n, 2),
+               Table::num(ghs.sim.rounds),
+               Table::num(static_cast<double>(ghs.sim.rounds) / (n * logn), 2),
+               Table::num(std::uint64_t{fast.sim.peak_bits}),
+               Table::num(static_cast<double>(fast.sim.peak_bits) / logn, 2),
                Table::num(fast.sim.activations),
                Table::num(m.schedule_rounds)});
     ns.push_back(n);
-    sync_rounds.push_back(static_cast<double>(fast.rounds));
+    sync_rounds.push_back(static_cast<double>(fast.sim.rounds));
   }
   t.print();
   std::printf("\nSYNC_MST rounds vs n, log-log slope: %.2f (O(n) -> ~1.0)\n",

@@ -5,7 +5,7 @@
 // discipline at fixed n: the queue drain order (random / round-robin /
 // reverse / adversarial stale-first) is a workload axis for detection
 // latency, and the activations column shows the daemon work the
-// activation queue saves versus the legacy full sweep (n per unit).
+// activation queue saves versus a full sweep (n per unit).
 //
 // The per-seed sims are independent, so each sweep cell fans its seeds
 // out over a BatchRunner (threads from argv[1], default: hardware);
@@ -44,11 +44,10 @@ struct AsyncDetect {
 };
 
 AsyncDetect detect_async(const WeightedGraph& g, std::uint64_t seed,
-                         DaemonOrder order, bool legacy_sweep) {
+                         DaemonOrder order) {
   VerifierConfig cfg;
   cfg.sync_mode = false;
   cfg.daemon = order;
-  cfg.legacy_sweep = legacy_sweep;
   VerifierHarness h(g, cfg, seed);
   if (h.run(64).has_value()) return {};
   auto victim = h.tamper_loadbearing_piece(seed * 41);
@@ -69,11 +68,10 @@ AsyncDetect detect_async(const WeightedGraph& g, std::uint64_t seed,
 
 /// Median over 3 independent detection sims, fanned out over the runner.
 AsyncDetect median_detect(BatchRunner& runner, const WeightedGraph& g,
-                          DaemonOrder order = DaemonOrder::kRandom,
-                          bool legacy_sweep = false) {
+                          DaemonOrder order = DaemonOrder::kRandom) {
   auto raw = runner.map<AsyncDetect>(
       3, /*sweep_seed=*/g.n(), [&](std::size_t i, Rng&) {
-        return detect_async(g, i + 1, order, legacy_sweep);
+        return detect_async(g, i + 1, order);
       });
   std::vector<AsyncDetect> xs;
   for (const AsyncDetect& d : raw) {
@@ -186,30 +184,26 @@ int main(int argc, char** argv) {
     }
     t.print();
   }
-  std::puts(
-      "\n-- daemon-discipline sweep at n = 128 (queue vs legacy sweep) --");
+  std::puts("\n-- daemon-discipline sweep at n = 128 --");
   {
     // The adversarial stale-first drain is the worst-case schedule the
     // weakly-fair contract admits; activations/unit shows how much daemon
-    // work the queue saves once alarmed regions quiesce.
-    Table t({"discipline", "detect units", "act/unit (queue)",
-             "act/unit (legacy)"});
+    // work the queue saves once alarmed regions quiesce (a full sweep
+    // schedules all n nodes every unit).
+    Table t({"discipline", "detect units", "act/unit"});
     Rng rng(7);
     auto g = gen::random_bounded_degree(std::min<NodeId>(128, max_n), 4, 64,
                                         rng);
     for (DaemonOrder order :
          {DaemonOrder::kRandom, DaemonOrder::kRoundRobin,
           DaemonOrder::kReverse, DaemonOrder::kAdversarial}) {
-      const AsyncDetect q = median_detect(runner, g, order, false);
-      const AsyncDetect legacy = median_detect(runner, g, order, true);
+      const AsyncDetect q = median_detect(runner, g, order);
       t.add_row({order_name(order), Table::num(q.units, 0),
-                 Table::num(q.activations_per_unit, 1),
-                 Table::num(legacy.activations_per_unit, 1)});
+                 Table::num(q.activations_per_unit, 1)});
       const std::string key =
           std::string("detection_async/order=") + order_name(order);
       json.record(key, "detect_units", q.units);
       json.record(key, "activations_per_unit", q.activations_per_unit);
-      json.record(key, "detect_units_legacy", legacy.units);
     }
     t.print();
   }

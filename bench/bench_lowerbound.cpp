@@ -75,7 +75,7 @@ int main() {
         VerifierConfig cfg;
         VerifierHarness h(g, cfg, 7);
         h.run(64);
-        std::size_t bits = h.sim().max_state_bits();
+        std::size_t bits = h.sim().stats().peak_bits;
         std::uint64_t dt = 0;
         if (auto victim = h.tamper_loadbearing_piece(11)) {
           auto res = h.measure_detection({*victim}, 1u << 22);

@@ -154,8 +154,8 @@ BENCHMARK(BM_BatchSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // Event-driven async engine (the activation queue): per-unit cost must
 // scale with the *active set*, not with n. On a quiescent 2^17-node
 // instance a single 1-node fault wakes only its closed neighbourhood, so a
-// queue-driven unit must beat the legacy full sweep (Arg1 = 1) by >= 10x;
-// see BM_AsyncUnitFullActivity for the matching all-nodes-active bound.
+// unit costs a few activations, not n (the activations/unit counter); see
+// BM_AsyncUnitFullActivity for the all-nodes-active side.
 // MaxFloodState quiesces once the maximum has flooded; the corrupted value
 // is *below* the flooded maximum, so repair stays local to the victim's
 // neighbourhood. The protocol deliberately relies on the generic
@@ -183,12 +183,10 @@ class MaxFloodProtocol final : public Protocol<MaxFloodState> {
 
 void BM_AsyncUnitSparse(benchmark::State& state) {
   const auto& g = test_graph(static_cast<NodeId>(state.range(0)));
-  const bool legacy = state.range(1) != 0;
   MaxFloodProtocol proto;
   std::vector<MaxFloodState> init(g.n());
   init[0].value = 1u << 30;
   Simulation<MaxFloodState> sim(g, proto, init);
-  sim.set_full_sweep(legacy);
   Rng daemon(17);
   // Flood to quiescence: 64 units comfortably cover the random graph's
   // diameter (ascending in-place drains flood whole chains per unit).
@@ -209,14 +207,11 @@ void BM_AsyncUnitSparse(benchmark::State& state) {
       static_cast<double>(sim.stats().activations) /
       static_cast<double>(sim.stats().units));
 }
-BENCHMARK(BM_AsyncUnitSparse)
-    ->Args({1 << 17, 0})
-    ->Args({1 << 17, 1})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AsyncUnitSparse)->Arg(1 << 17)->Unit(benchmark::kMicrosecond);
 
-// The other side of the bound: when every node is enabled every unit
-// (PulseState always advances), the queue-driven unit must stay within 10%
-// of the legacy sweep — the dirty bookkeeping may not tax dense activity.
+// The other side of the bound: every node is enabled every unit
+// (PulseState always advances), so each unit is a full drain followed by
+// the blanket re-enable — the queue machinery's cost under dense activity.
 // The protocol reports its (constant) change verdict exactly, like the
 // real protocols do, so what's measured is the queue machinery itself.
 struct AsyncPulseState {
@@ -252,11 +247,9 @@ class AsyncPulseProtocol final : public Protocol<AsyncPulseState> {
 
 void BM_AsyncUnitFullActivity(benchmark::State& state) {
   const auto& g = test_graph(static_cast<NodeId>(state.range(0)));
-  const bool legacy = state.range(1) != 0;
   AsyncPulseProtocol proto;
   Simulation<AsyncPulseState> sim(g, proto,
                                   std::vector<AsyncPulseState>(g.n()));
-  sim.set_full_sweep(legacy);
   Rng daemon(18);
   sim.async_unit(daemon, DaemonOrder::kRoundRobin);  // warm the queue
   for (auto _ : state) {
@@ -268,8 +261,7 @@ void BM_AsyncUnitFullActivity(benchmark::State& state) {
       static_cast<double>(sim.stats().units));
 }
 BENCHMARK(BM_AsyncUnitFullActivity)
-    ->Args({1 << 17, 0})
-    ->Args({1 << 17, 1})
+    ->Arg(1 << 17)
     ->Unit(benchmark::kMillisecond);
 
 // Sharded parallel async drains (the sharded-drain contract in

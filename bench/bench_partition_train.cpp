@@ -49,7 +49,7 @@ int main() {
                Table::num(std::uint64_t{max_top_pieces}),
                Table::num(std::uint64_t{parts.bot_parts.size()}),
                Table::num(std::uint64_t{max_bot}),
-               Table::num(fast.rounds), Table::num(slow.rounds)});
+               Table::num(fast.sim.rounds), Table::num(slow.sim.rounds)});
   }
   t.print();
 

@@ -46,7 +46,7 @@ std::uint64_t measured_detection(const WeightedGraph& g, CheckerKind kind,
     case CheckerKind::kKkpVerifier:
       return 1;  // by construction: every check is a 1-round check
     case CheckerKind::kRecompute:
-      return run_sync_mst(g).rounds;  // detection = one recomputation
+      return run_sync_mst(g).sim.rounds;  // detection = one recomputation
   }
   return 0;
 }

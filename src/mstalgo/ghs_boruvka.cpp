@@ -238,8 +238,6 @@ GhsRun run_ghs_boruvka(const WeightedGraph& g) {
   run.tree = std::make_unique<RootedTree>(
       RootedTree::from_parents(g, root, parent));
   run.sim = sim.stats();
-  run.rounds = run.sim.rounds;
-  run.max_state_bits = run.sim.peak_bits;
   return run;
 }
 

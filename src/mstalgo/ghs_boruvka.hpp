@@ -62,8 +62,6 @@ class GhsBoruvkaProtocol final : public Protocol<GhsState> {
 
 struct GhsRun {
   std::unique_ptr<RootedTree> tree;
-  std::uint64_t rounds = 0;           ///< mirror of sim.rounds (legacy)
-  std::size_t max_state_bits = 0;     ///< mirror of sim.peak_bits (legacy)
   SimulationStats sim;  ///< full engine accounting (activations, peak bits)
 };
 

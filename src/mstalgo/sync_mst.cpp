@@ -343,8 +343,6 @@ SyncMstRun run_sync_mst(const WeightedGraph& g) {
   run.tree = std::make_unique<RootedTree>(
       RootedTree::from_parents(g, root, parent));
   run.sim = sim.stats();
-  run.rounds = run.sim.rounds;
-  run.max_state_bits = run.sim.peak_bits;
   run.active_trace = proto.active_trace();
   return run;
 }

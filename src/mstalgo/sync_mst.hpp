@@ -112,8 +112,6 @@ class SyncMstProtocol final : public Protocol<SyncMstState> {
 /// Outcome of a full synchronous run.
 struct SyncMstRun {
   std::unique_ptr<RootedTree> tree;
-  std::uint64_t rounds = 0;           ///< mirror of sim.rounds (legacy)
-  std::size_t max_state_bits = 0;     ///< mirror of sim.peak_bits (legacy)
   SimulationStats sim;  ///< full engine accounting (activations, peak bits)
   std::vector<std::tuple<int, NodeId, std::uint32_t>> active_trace;
 };

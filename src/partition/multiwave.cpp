@@ -138,13 +138,11 @@ MultiWaveResult run_multiwave(const MarkerOutput& marker, bool pipelined) {
   while (!(sim.cstate(root).echoed & top_bit)) {
     if (sim.time() > bound) {
       res.sim = sim.stats();
-      res.rounds = res.sim.rounds;
       return res;  // not completed
     }
     sim.sync_round();
   }
   res.sim = sim.stats();
-  res.rounds = res.sim.rounds;
   res.completed = true;
   return res;
 }

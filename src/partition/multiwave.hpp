@@ -22,7 +22,6 @@ SSMST_REGISTER_HEADER(MultiWaveState);
 
 /// Result of one Multi_Wave execution.
 struct MultiWaveResult {
-  std::uint64_t rounds = 0;  ///< mirror of sim.rounds (legacy)
   bool completed = false;
   SimulationStats sim;  ///< full engine accounting (activations, peak bits)
 };

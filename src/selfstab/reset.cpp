@@ -6,7 +6,7 @@ namespace ssmst {
 
 std::uint64_t run_reset(const WeightedGraph& g,
                         const std::vector<NodeId>& seeds, bool sync_mode,
-                        Rng& daemon, DaemonOrder order, bool legacy_sweep) {
+                        Rng& daemon, DaemonOrder order) {
   ResetProtocol proto(g);
   std::vector<ResetState> init(g.n());
   for (NodeId s : seeds) {
@@ -14,7 +14,6 @@ std::uint64_t run_reset(const WeightedGraph& g,
     init[s].seeded = true;
   }
   Simulation<ResetState> sim(g, proto, init);
-  if (legacy_sweep) sim.set_full_sweep(true);
   const std::uint64_t bound = 4ULL * g.n() + 16;
   for (;;) {
     bool all_settled = true;

@@ -64,9 +64,8 @@ class ResetProtocol final : public Protocol<ResetState> {
 
 /// Floods a reset from the given seed nodes and returns the number of time
 /// units until every node settled. Synchronous: lock-step rounds;
-/// asynchronous: weakly fair daemon under `order` (queue-driven by
-/// default; `legacy_sweep` restores the full-sweep daemon). The wave
-/// quiesces in the activation queue once settled — nodes outside the
+/// asynchronous: the activation-queue daemon (weakly fair) under `order`.
+/// The wave quiesces in the queue once settled — nodes outside the
 /// frontier cost nothing per unit.
 ///
 /// This is also the watchdog's escalation path (total-state fault model;
@@ -77,7 +76,6 @@ class ResetProtocol final : public Protocol<ResetState> {
 /// audit's suspect set and re-marks the instance instead of reseeding again.
 std::uint64_t run_reset(const WeightedGraph& g,
                         const std::vector<NodeId>& seeds, bool sync_mode,
-                        Rng& daemon, DaemonOrder order = DaemonOrder::kRandom,
-                        bool legacy_sweep = false);
+                        Rng& daemon, DaemonOrder order = DaemonOrder::kRandom);
 
 }  // namespace ssmst

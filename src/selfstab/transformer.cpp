@@ -85,14 +85,12 @@ struct SelfStabilizingMst::Impl {
         train_sim = std::make_unique<VerifierSim>(
             g, *train_proto, train_proto->initial_states(marker));
         train_sim->set_thread_pool(round_pool());
-        if (opt.legacy_sweep) train_sim->set_full_sweep(true);
         break;
       case CheckerKind::kKkpVerifier:
         kkp_proto = std::make_unique<KkpVerifierProtocol>(g);
         kkp_sim = std::make_unique<Simulation<KkpState>>(
             g, *kkp_proto, kkp_proto->initial_states(marker));
         kkp_sim->set_thread_pool(round_pool());
-        if (opt.legacy_sweep) kkp_sim->set_full_sweep(true);
         break;
       case CheckerKind::kRecompute:
         recompute_ports = marker.parent_ports();
@@ -234,7 +232,7 @@ struct SelfStabilizingMst::Impl {
         // the detection time is the construction time.
         auto run = run_sync_mst(g);
         note_sim(run.sim);
-        out.time = run.rounds;
+        out.time = run.sim.rounds;
         const auto ports = current_ports();
         for (NodeId v = 0; v < g.n(); ++v) {
           const bool is_root = v == run.tree->root();
@@ -256,11 +254,11 @@ struct SelfStabilizingMst::Impl {
                        const std::vector<NodeId>& seeds) {
     rep.reset_time +=
         run_reset(g, seeds.empty() ? std::vector<NodeId>{0} : seeds,
-                  opt.synchronous, rng, opt.daemon, opt.legacy_sweep);
+                  opt.synchronous, rng, opt.daemon);
     if (opt.synchronous) {
       auto run = run_sync_mst(g);
       note_sim(run.sim);
-      rep.build_time += run.rounds;
+      rep.build_time += run.sim.rounds;
     } else {
       SyncMstProtocol inner(g);
       Synchronizer<SyncMstState> wrapper(g, inner);
@@ -275,7 +273,6 @@ struct SelfStabilizingMst::Impl {
             }
             return init;
           }());
-      if (opt.legacy_sweep) sim.set_full_sweep(true);
       const std::uint64_t bound = 10ULL * (44ULL * g.n() + 64) + 64;
       for (;;) {
         bool all_done = true;

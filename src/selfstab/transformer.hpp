@@ -48,9 +48,6 @@ struct TransformerOptions {
   /// Daemon discipline for every asynchronous phase (checker, reset wave,
   /// synchronized rebuild). kAdversarial = worst-case stale-first drain.
   DaemonOrder daemon = DaemonOrder::kRandom;
-  /// Drive all asynchronous phases with the legacy full-sweep daemon
-  /// instead of the activation queue (the equivalence-test baseline).
-  bool legacy_sweep = false;
 };
 
 /// The enhanced Resynchronizer (Theorems 10.1-10.3) driven end to end:

@@ -51,10 +51,10 @@ class NeighborReader {
 
 /// A distributed protocol in the register model: per-node state (the public
 /// register) plus a step function executed on each activation. The engine
-/// drives it through two hooks only: `step` (every sync round and the
-/// legacy full-sweep daemon) and `step_changed` (the activation-queue
-/// daemon); everything else is metadata — register adoption, sizes,
-/// alarms, audits and corruption.
+/// drives it through two hooks only: `step` (every sync round) and
+/// `step_changed` (every async unit — the activation-queue daemon);
+/// everything else is metadata — register adoption, sizes, alarms, audits
+/// and corruption.
 ///
 /// Protocols must be written so that `step` only reads the provided
 /// neighbour view and its own state — that is exactly the locality the
@@ -91,11 +91,10 @@ class NeighborReader {
 ///    caches must make those caches per-node.
 ///
 /// Register layout contract (the striped-arena register file): a `State`
-/// is one contiguous, trivially-copyable block — by-value scalars, small
-/// fixed-capacity inline vectors (util/inline_vec.hpp), and for
-/// variable-length payload *stripe views*: (offset, length) headers into a
-/// per-simulation LabelArena sized to the live content (labels/arena.hpp),
-/// never heap containers. Copying a register is still a single flat
+/// is one contiguous, trivially-copyable block — by-value scalars and
+/// fixed-size arrays, and for variable-length payload *stripe views*:
+/// (offset, length) headers into a per-simulation LabelArena sized to the
+/// live content (labels/arena.hpp), never heap containers. Copying a register is still a single flat
 /// memcpy, but the memcpy transfers the header only — every copy of one
 /// node's register aliases that node's single stripe payload. The rules
 /// that make this sound:
@@ -151,12 +150,12 @@ class Protocol {
   /// for an unchanged register only wastes re-activations — but must never
   /// under-approximate: returning false for a changed register breaks the
   /// weakly-fair schedule (neighbours would miss the change) and with it
-  /// the queue/full-sweep equivalence.
+  /// the equivalence to the classic every-node-every-unit daemon.
   ///
   /// The default detects changes generically: a byte copy + compare for
   /// flat (trivially copyable) registers, operator== where one exists, and
   /// a conservative "always changed" for anything else — which degrades to
-  /// the legacy every-node-every-unit daemon, never to a wrong schedule.
+  /// the classic every-node-every-unit daemon, never to a wrong schedule.
   /// Protocols that know their own write set override this with a cheaper
   /// exact test (e.g. the verifier: sticky alarms make alarmed nodes
   /// quiescent, every live node advances a timer).
@@ -168,11 +167,10 @@ class Protocol {
   /// construction algorithms: SYNC_MST phase windows, GHS). Such protocols
   /// must not be driven by the queue daemon directly: run them under the
   /// synchronizer wrapper (whose pulse, not global time, is the clock —
-  /// its step_changed is exact) as the transformer does, under
-  /// set_full_sweep(true), or override step_changed to return true while
-  /// the clock can still enable a future write. Self-stabilizing
-  /// protocols are unaffected: the model already forbids them from
-  /// relying on `time`.
+  /// its step_changed is exact) as the transformer does, or override
+  /// step_changed to return true while the clock can still enable a
+  /// future write. Self-stabilizing protocols are unaffected: the model
+  /// already forbids them from relying on `time`.
   virtual bool step_changed(NodeId v, State& self,
                             const NeighborReader<State>& nbr,
                             std::uint64_t time) {
@@ -192,7 +190,7 @@ class Protocol {
       return !(self == before);
     } else {
       step(v, self, nbr, time);
-      return true;  // undetectable: stay permanently enabled (legacy daemon)
+      return true;  // undetectable: stay permanently enabled (full sweep)
     }
   }
 

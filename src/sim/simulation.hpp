@@ -49,15 +49,13 @@ struct SimulationStats {
   std::uint64_t rounds = 0;       ///< synchronous rounds executed
   std::uint64_t units = 0;        ///< asynchronous units executed
   /// Daemon schedulings: nodes handed an activation. Synchronous rounds add
-  /// n; queue-driven asynchronous units add only the drained enabled set
-  /// (the legacy full-sweep daemon adds n per unit).
+  /// n; asynchronous units add only the drained enabled set.
   std::uint64_t activations = 0;
   /// Activations whose step actually changed the register. Tracked only by
-  /// queue-driven asynchronous units (where the change test already runs
-  /// for the dirty bookkeeping); synchronous rounds and legacy full-sweep
-  /// units leave it untouched rather than guess. activations minus
-  /// effective_steps is the daemon's wasted work — the quantity the
-  /// activation queue drives to zero.
+  /// asynchronous units (where the change test already runs for the dirty
+  /// bookkeeping); synchronous rounds leave it untouched rather than guess.
+  /// activations minus effective_steps is the daemon's wasted work — the
+  /// quantity the activation queue drives to zero.
   std::uint64_t effective_steps = 0;
   std::uint64_t epoch = 0;        ///< time of the last alarm-history reset
   std::optional<std::uint64_t> first_alarm;  ///< earliest alarm since epoch
@@ -191,17 +189,25 @@ struct AuditReport {
 ///    unit changed >= 1/4 of all registers the engine re-enables everyone
 ///    wholesale instead of marking neighbourhoods (the next unit is a
 ///    near-full sweep either way; skipping the bit traffic keeps dense
-///    units at legacy cost).
+///    units close to the cost of a plain every-node sweep).
 /// A node enabled during unit t is activated in unit t+1, so every enabled
 /// node is activated at most one unit after becoming enabled — the weakly
 /// fair contract, preserved exactly. A quiescent or sparsely active unit
-/// therefore costs O(active + touched neighbourhoods), not O(n); because a
-/// deterministic protocol's unchanged-input re-step is a no-op, the drained
-/// superset yields register trajectories identical to the legacy
-/// every-node-per-unit daemon (pinned by tests/test_async_queue.cpp).
-/// `set_full_sweep(true)` restores that legacy daemon verbatim (every node
-/// activated once per unit, batched end-of-unit accounting) — the
-/// reference baseline for the equivalence tests and benches.
+/// therefore costs O(active + touched neighbourhoods), not O(n). A
+/// deterministic protocol's unchanged-input re-step is a no-op, so the
+/// queue differs from the classic every-node-per-unit daemon only in when
+/// a change is seen: the classic daemon steps every node every unit, so a
+/// node sees a neighbour's change from earlier in the same unit at once;
+/// the queue steps that node one unit later unless it was already
+/// enabled. Where that never happens (dense units; the verifier, whose
+/// live nodes change on every step and whose alarmed nodes never do) the
+/// register trajectories are identical; elsewhere (a sparse reset wave)
+/// they are two different weakly fair schedules. The classic daemon needs
+/// no engine code of its own: a protocol whose step_changed always
+/// reports a change trips the dense cutover every unit, so the queue
+/// re-enables and drains all n nodes each unit. tests/full_sweep.hpp
+/// wraps any protocol that way, and tests/test_async_queue.cpp pins the
+/// queue against it.
 ///
 /// Parallel synchronous rounds: with several shards, `sync_round` steps
 /// each shard into the back buffer concurrently and reduces the per-shard
@@ -239,18 +245,17 @@ struct AuditReport {
 ///    activations); later epochs are the deferred boundary work, counted
 ///    in SimulationStats::cross_shard_deferrals and per shard in
 ///    shard_activations.
-///  * Re-enable rules are unchanged: post-drain marking enables exactly the
-///    changed nodes' closed neighbourhoods (sharded across lanes — lane s
-///    writes only its own shard's bitmap slice and queue — or serially for
-///    small change sets; dense change sets still take the blanket
-///    re-enable). A fault injected *between* units via state()/mutate lands
-///    in the per-shard pending queues and is drained next unit exactly as
-///    in the sequential engine.
-///  * The legacy full-sweep daemon (`set_full_sweep(true)`) steps strictly
-///    sequentially; `set_async_drain` picks between kAuto (parallel only
-///    when the drain is large enough to amortize the barriers) and
-///    kParallel (forced). Drains that stay on the calling thread — every
-///    drain of a one-shard engine — are the sequential reference.
+///  * Re-enable rules are unchanged: both drains end in the same tail,
+///    which enables exactly the changed nodes' closed neighbourhoods
+///    (sharded across lanes for large change lists — lane s writes only
+///    its own shard's bitmap slice and queue — serially otherwise; dense
+///    change sets take the blanket re-enable). A fault injected *between*
+///    units via state()/mutate lands in the per-shard pending queues and
+///    is drained next unit exactly as in the sequential engine.
+///  * `set_async_drain` picks between kAuto (parallel only when the drain
+///    is large enough to amortize the barriers) and kParallel (forced).
+///    Drains that stay on the calling thread — every drain of a one-shard
+///    engine — are the sequential reference.
 ///  * Nested-pool rule: a drain borrows the same pool as sync rounds, and
 ///    ThreadPool is not re-entrant — do not drive async_unit from inside a
 ///    job running on that same pool (sim/batch.hpp spells out the
@@ -345,7 +350,6 @@ class Simulation {
   /// (default) goes parallel only when a pool is attached and the drain is
   /// large enough to amortize the fork-join barriers.
   void set_async_drain(AsyncDrain mode) { async_drain_ = mode; }
-  AsyncDrain async_drain() const { return async_drain_; }
 
   std::uint64_t time() const { return stats_.time; }
   const SimulationStats& stats() const { return stats_; }
@@ -416,16 +420,6 @@ class Simulation {
     return true;
   }
 
-  /// Switches the asynchronous scheduler between the activation queue
-  /// (default) and the legacy full-sweep daemon in which every unit
-  /// activates all n nodes. Toggling re-seeds the queue (all nodes
-  /// enabled), so switching back mid-run stays conservative.
-  void set_full_sweep(bool on) {
-    full_sweep_ = on;
-    enable_all_pending_ = true;
-  }
-  bool full_sweep() const { return full_sweep_; }
-
   /// One synchronous round: a single fused sweep that steps every node
   /// into the back buffer and records accounting on the fresh states,
   /// then swaps the buffers. With several shards the sweep runs on the
@@ -456,55 +450,19 @@ class Simulation {
                                  DaemonOrder order = DaemonOrder::kRandom) {
     watchdog_poll();
     const std::uint64_t stamp = stats_.time;
-    if (full_sweep_) {
-      // Legacy daemon: every node activated exactly once per unit; each
-      // node's post-activation state survives to the end of the unit, so
-      // accounting is batched into one pass stamped with the unit's time.
-      build_drain_full();
-      discipline(order, rng);
-      for (NodeId v : drain_) {
-        NeighborReader<State> nbr(*g_, regs_, v);
-        proto_->step(v, regs_[v], nbr, stamp);
-      }
-      full_drain_stamp_ = static_cast<std::uint32_t>(stamp);
-      record_pass(stamp);
-      enable_all_pending_ = true;  // no dirty bookkeeping ran: stay safe
-      stats_.activations += g_->n();
+    // Claim the pending queue (nodes enabled before this unit; nodes
+    // enabled mid-unit run next unit — weak fairness).
+    take_enabled();
+    discipline(order, rng);
+    // Both paths are bit-identical (the sharded-drain contract in the
+    // class comment); the switch is purely an execution strategy.
+    if (use_parallel_drain()) {
+      drain_parallel(stamp);
     } else {
-      // Queue-driven daemon: claim the pending queue (nodes enabled before
-      // this unit; nodes enabled mid-unit run next unit — weak fairness).
-      take_enabled();
-      discipline(order, rng);
-      // Both paths are bit-identical (the sharded-drain contract in the
-      // class comment); the switch is purely an execution strategy.
-      if (use_parallel_drain()) {
-        drain_parallel(stamp);
-      } else {
-        drain_sequential(stamp);
-      }
+      drain_sequential(stamp);
     }
     ++stats_.time;
     ++stats_.units;
-  }
-
-  /// Runs synchronous rounds until an alarm fires or `max_rounds` elapse.
-  /// Returns the time of the first alarm, if any.
-  std::optional<std::uint64_t> run_sync_until_alarm(std::uint64_t max_rounds) {
-    for (std::uint64_t i = 0; i < max_rounds; ++i) {
-      if (stats_.first_alarm) return stats_.first_alarm;
-      sync_round();
-    }
-    return stats_.first_alarm;
-  }
-
-  std::optional<std::uint64_t> run_async_until_alarm(
-      std::uint64_t max_units, Rng& rng,
-      DaemonOrder order = DaemonOrder::kRandom) {
-    for (std::uint64_t i = 0; i < max_units; ++i) {
-      if (stats_.first_alarm) return stats_.first_alarm;
-      async_unit(rng, order);
-    }
-    return stats_.first_alarm;
   }
 
   /// Time of the earliest alarm seen so far, if any. O(1).
@@ -538,9 +496,6 @@ class Simulation {
     stats_.alarmed_nodes = 0;
     stats_.epoch = stats_.time;
   }
-
-  /// Running maximum of any node's register size, in bits.
-  std::size_t max_state_bits() const { return stats_.peak_bits; }
 
   // ---- Invariant auditor (total-state fault model; class comment) ----
 
@@ -588,7 +543,6 @@ class Simulation {
     watchdog_strikes_ = 0;
     watchdog_escalated_ = false;
   }
-  std::uint64_t watchdog_budget() const { return watchdog_budget_; }
   /// True once `escalate_after` consecutive watchdog trips found audit
   /// violations: the reseed repair is not clearing the corruption source
   /// and the caller must escalate (run_reset + re-mark). Sticky until the
@@ -775,15 +729,13 @@ class Simulation {
 
   /// Claims the enabled set into drain_ (ascending node order) and clears
   /// the pending queues. A blanket re-enable materializes as a full iota;
-  /// otherwise dense queues are collected by a bitmap scan (already
-  /// ascending) and sparse ones sorted directly — both yield the canonical
-  /// ascending base order the disciplines build on. Each queue holds only
-  /// its shard's (contiguous CSR range) nodes, so per-shard sorts / scans
-  /// concatenated in shard order yield the same canonical ascending drain
-  /// — which lets large claims run shard-parallel without changing the
-  /// result.
+  /// otherwise every shard claims its own queue (claim_shard) and the
+  /// claimed queues are concatenated in shard order. Each queue holds only
+  /// its shard's (contiguous CSR range) nodes, so the concatenation is the
+  /// canonical ascending base order the disciplines build on — whether
+  /// the shards were claimed in a loop on the calling thread or, for a
+  /// large claim, on the pool.
   void take_enabled() {
-    const NodeId n = g_->n();
     if (enable_all_pending_) {
       enable_all_pending_ = false;
       // enabled_[v] is set iff v is queued, so clearing the queued bits
@@ -793,75 +745,48 @@ class Simulation {
         for (NodeId v : q) enabled_[v] = 0;
         q.clear();
       }
-      build_drain_full();
+      drain_.resize(g_->n());
+      std::iota(drain_.begin(), drain_.end(), NodeId{0});
       return;
     }
-    drain_.clear();
     std::size_t pending = 0;
     for (const auto& q : queues_) pending += q.size();
-    const bool dense = pending * 16 >= n;
-    if (dense) {
-      // Dense claim: bitmap scan, ascending. The queue contents equal the
-      // set bits, so the queues are just dropped.
-      for (auto& q : queues_) q.clear();
-    }
-    if (shard_count() > 1 &&
-        (async_drain_ == AsyncDrain::kParallel ||
-         pending >= kParallelTakeMin)) {
-      take_parallel(dense);
-    } else if (dense) {
-      drain_.reserve(pending);
-      for (NodeId v = 0; v < n; ++v) {
-        if (enabled_[v]) {
-          enabled_[v] = 0;
-          drain_.push_back(v);
-        }
-      }
+    claim_dense_ = pending * 16 >= g_->n();
+    if (shard_count() > 1 && (async_drain_ == AsyncDrain::kParallel ||
+                              pending >= kParallelTakeMin)) {
+      pool_->run(shard_count(), [this](std::uint32_t s) { claim_shard(s); });
     } else {
-      for (auto& q : queues_) {
-        std::sort(q.begin(), q.end());
-        for (NodeId v : q) enabled_[v] = 0;
-        drain_.insert(drain_.end(), q.begin(), q.end());
-        q.clear();
-      }
+      for (std::uint32_t s = 0; s < shard_count(); ++s) claim_shard(s);
     }
-  }
-
-  /// The pool half of take_enabled, one lane per shard. Dense: each lane
-  /// collects its contiguous shard range from the bitmap into its own
-  /// (just-cleared) queue. Sparse: each lane sorts its shard's queue.
-  /// Either way concatenation in shard order is ascending.
-  __attribute__((noinline)) void take_parallel(bool dense) {
-    if (dense) {
-      pool_->run(shard_count(), [this](std::uint32_t s) {
-        auto& q = queues_[s];
-        for (NodeId v = shard_starts_[s]; v < shard_starts_[s + 1]; ++v) {
-          if (enabled_[v]) {
-            enabled_[v] = 0;
-            // ssmst-lint: allow(R1): q aliases a member shard
-            // queue; capacity is warm after the first drain.
-            q.push_back(v);
-          }
-        }
-      });
-    } else {
-      pool_->run(shard_count(), [this](std::uint32_t s) {
-        std::sort(queues_[s].begin(), queues_[s].end());
-      });
-    }
+    drain_.clear();
     for (auto& q : queues_) {
-      if (!dense) {
-        for (NodeId v : q) enabled_[v] = 0;
-      }
       drain_.insert(drain_.end(), q.begin(), q.end());
       q.clear();
     }
   }
 
-  /// drain_ := all n nodes, ascending (the legacy full sweep).
-  void build_drain_full() {
-    drain_.resize(g_->n());
-    std::iota(drain_.begin(), drain_.end(), NodeId{0});
+  /// Claims shard s: leaves its enabled nodes in queues_[s], ascending,
+  /// with their dirty bits cleared. A dense claim rebuilds the queue from
+  /// a bitmap scan of the shard's range (already ascending; the queue
+  /// contents equal the set bits, so the old entries are dropped); a
+  /// sparse one sorts the queue. Touches only shard s's queue and bitmap
+  /// slice, so distinct shards may claim concurrently.
+  void claim_shard(std::uint32_t s) {
+    auto& q = queues_[s];
+    if (claim_dense_) {
+      q.clear();
+      for (NodeId v = shard_starts_[s]; v < shard_starts_[s + 1]; ++v) {
+        if (enabled_[v]) {
+          enabled_[v] = 0;
+          // ssmst-lint: allow(R1): q aliases a member shard queue that
+          // held at least as many entries before this claim.
+          q.push_back(v);
+        }
+      }
+    } else {
+      std::sort(q.begin(), q.end());
+      for (NodeId v : q) enabled_[v] = 0;
+    }
   }
 
   /// Applies the daemon discipline to the ascending drain_. Starting from
@@ -906,18 +831,13 @@ class Simulation {
   /// still the per-unit hot path — keep it fused exactly as before.
   __attribute__((always_inline)) inline void drain_sequential(
       std::uint64_t stamp) {
-    SweepAcc acc;
-    // Dense cutover: once >= 1/4 of all registers changed this unit, the
-    // outcome is a blanket re-enable, so collecting further changed
-    // nodes is pointless — stop at the cut (the partial list is
-    // discarded). The list is collected through a raw cursor (capacity
-    // ensured up front) because a push_back's size/capacity traffic is
+    // The changed list is collected through a raw cursor (changed_list
+    // ensures the capacity) because a push_back's size/capacity traffic is
     // measurable inside this loop.
-    const std::size_t cut = (regs_.size() + 3) / 4;
     const std::uint32_t stamp32 = static_cast<std::uint32_t>(stamp);
-    if (changed_.size() < cut) changed_.resize(cut);
-    NodeId* coll = changed_.data();
-    NodeId* const coll_end = coll + cut;
+    NodeId* const list = changed_list();
+    NodeId* coll = list;
+    NodeId* const coll_end = list + dense_cut();
     std::uint64_t changed_n = 0;
     if (drain_.size() == regs_.size()) {
       // Full drain: every node's last activation is this unit, recorded
@@ -945,35 +865,21 @@ class Simulation {
     // Accounting in a second tight pass over the drain (not interleaved
     // with the steps): a node is drained at most once per unit and only
     // its own step writes its register, so the post-drain state equals
-    // the post-step state — same stamp semantics as the batched legacy
-    // pass at O(drained) cost, and keeping the virtual
-    // state_bits/alarmed calls out of the stepping loop keeps dense
-    // units at full-sweep throughput.
+    // the post-step state, and keeping the virtual state_bits/alarmed
+    // calls out of the stepping loop keeps dense units at sweep
+    // throughput.
+    SweepAcc acc;
     for (NodeId v : drain_) record_state(v, regs_[v], stamp, acc);
     fold(acc, stamp);
-    stats_.activations += drain_.size();
-    stats_.effective_steps += changed_n;
-    // Dirty propagation, deferred to the unit's end (identical next-unit
-    // enabled set to inline marking). Dense change sets take the blanket
-    // re-enable — the next unit is a full sweep either way, and skipping
-    // the per-neighbourhood bit traffic keeps full-activity units within
-    // a few percent of the legacy sweep. Sparse ones mark exact closed
-    // neighbourhoods so activity can collapse to quiescence.
-    if (changed_n >= cut) {
-      enable_all_pending_ = true;
-    } else {
-      for (const NodeId* p = changed_.data(); p != coll; ++p) {
-        mark_dirty(*p);
-      }
-    }
+    finish_drain(static_cast<std::size_t>(coll - list), changed_n);
   }
 
   /// Executes the disciplined drain across the pool under the sharded-
   /// drain contract (class comment): classify into conflict epochs in
   /// discipline order, step each epoch concurrently (no two nodes in an
-  /// epoch are adjacent), then reproduce the sequential tail — changed
-  /// list in discipline order, chunk-folded accounting, sharded or serial
-  /// dirty propagation. Bit-identical to drain_sequential at every thread
+  /// epoch are adjacent), fold the accounting in chunks, rebuild the
+  /// changed list in discipline order, and end in finish_drain like the
+  /// sequential drain. Bit-identical to drain_sequential at every thread
   /// count for every discipline.
   __attribute__((noinline)) void drain_parallel(std::uint64_t stamp) {
     const std::uint32_t shards = shard_count();
@@ -1065,10 +971,9 @@ class Simulation {
 
     // --- 5. Changed list in discipline order, cursor capped at the dense
     // cutover — exactly the sequential collection semantics. ---
-    const std::size_t cut = (regs_.size() + 3) / 4;
-    if (changed_.size() < cut) changed_.resize(cut);
-    NodeId* coll = changed_.data();
-    NodeId* const coll_end = coll + cut;
+    NodeId* const list = changed_list();
+    NodeId* coll = list;
+    NodeId* const coll_end = list + dense_cut();
     std::uint64_t changed_n = 0;
     for (NodeId v : drain_) {
       if (changed_mark_[v]) {
@@ -1076,49 +981,73 @@ class Simulation {
         if (coll != coll_end) *coll++ = v;
       }
     }
+    finish_drain(static_cast<std::size_t>(coll - list), changed_n);
+  }
+
+  /// The dense cutover: a unit that changed at least this many registers
+  /// (1/4 of them) ends in the blanket re-enable, so the drains stop
+  /// collecting the changed list there.
+  std::size_t dense_cut() const { return (regs_.size() + 3) / 4; }
+
+  /// The changed-list buffer, with room for dense_cut() entries.
+  NodeId* changed_list() {
+    if (changed_.size() < dense_cut()) changed_.resize(dense_cut());
+    return changed_.data();
+  }
+
+  /// The shared tail of both drains: activation stats, then the dirty
+  /// propagation for the next unit, deferred to the unit's end (the same
+  /// next-unit enabled set as inline marking). changed_[0, listed) holds
+  /// the unit's register-changing steps in discipline order, capped at
+  /// dense_cut(); changed_n counts all of them. A dense change set takes
+  /// the blanket re-enable — the next unit is a full sweep either way, and
+  /// skipping the per-neighbourhood bit traffic keeps full-activity units
+  /// cheap. A sparse one marks exact closed neighbourhoods so activity can
+  /// collapse to quiescence: shard-parallel for a large list (or a forced
+  /// parallel drain), serially otherwise.
+  void finish_drain(std::size_t listed, std::uint64_t changed_n) {
     stats_.activations += drain_.size();
     stats_.effective_steps += changed_n;
-
-    // --- 6. Dirty propagation: same blanket rule as the sequential path;
-    // large sparse change sets mark shard-parallel (lane s writes only its
-    // own shard's bitmap slice and queue — marking order within a shard is
-    // fixed by the changed list, so the queues are deterministic), small
-    // ones serially. ---
-    if (changed_n >= cut) {
+    if (changed_n >= dense_cut()) {
       enable_all_pending_ = true;
+    } else if (shard_count() > 1 && listed > 0 &&
+               (async_drain_ == AsyncDrain::kParallel ||
+                listed >= kParallelMarkMin)) {
+      mark_sharded(listed);
     } else {
-      const auto n_changed = static_cast<std::size_t>(coll - changed_.data());
-      if (forced || n_changed >= kParallelMarkMin) {
-        mark_count_ = n_changed;
-        pool_->run(shards, [this](std::uint32_t s) {
-          const NodeId lo = shard_starts_[s];
-          const NodeId hi = shard_starts_[s + 1];
-          auto& q = queues_[s];
-          for (std::size_t i = 0; i < mark_count_; ++i) {
-            const NodeId c = changed_[i];
-            if (c >= lo && c < hi && !enabled_[c]) {
-              enabled_[c] = 1;
-              // ssmst-lint: allow(R1): q aliases a member shard queue;
-              // capacity is warm after the first mark pass.
-              q.push_back(c);
-            }
-            for (const HalfEdge& he : g_->neighbors(c)) {
-              const NodeId u = he.to;
-              if (u >= lo && u < hi && !enabled_[u]) {
-                enabled_[u] = 1;
-                // ssmst-lint: allow(R1): q aliases a member shard queue;
-                // capacity is warm after the first mark pass.
-                q.push_back(u);
-              }
-            }
+      mark_dirty(std::span<const NodeId>(changed_.data(), listed));
+    }
+  }
+
+  /// Marks the closed neighbourhoods of changed_[0, listed) on the pool,
+  /// one lane per shard: lane s writes only its own shard's bitmap slice
+  /// and queue, in changed-list order, so every queue ends up exactly as
+  /// serial marking leaves it.
+  __attribute__((noinline)) void mark_sharded(std::size_t listed) {
+    mark_count_ = listed;
+    pool_->run(shard_count(), [this](std::uint32_t s) {
+      const NodeId lo = shard_starts_[s];
+      const NodeId hi = shard_starts_[s + 1];
+      auto& q = queues_[s];
+      for (std::size_t i = 0; i < mark_count_; ++i) {
+        const NodeId c = changed_[i];
+        if (c >= lo && c < hi && !enabled_[c]) {
+          enabled_[c] = 1;
+          // ssmst-lint: allow(R1): q aliases a member shard queue;
+          // capacity is warm after the first mark pass.
+          q.push_back(c);
+        }
+        for (const HalfEdge& he : g_->neighbors(c)) {
+          const NodeId u = he.to;
+          if (u >= lo && u < hi && !enabled_[u]) {
+            enabled_[u] = 1;
+            // ssmst-lint: allow(R1): q aliases a member shard queue;
+            // capacity is warm after the first mark pass.
+            q.push_back(u);
           }
-        });
-      } else {
-        for (const NodeId* p = changed_.data(); p != coll; ++p) {
-          mark_dirty(*p);
         }
       }
-    }
+    });
   }
 
   /// Steps epoch_order_[lo, hi) against the current registers. Within one
@@ -1207,10 +1136,10 @@ class Simulation {
     }
   }
 
-  /// Full accounting pass over the current registers (construction time
-  /// and legacy full-sweep units), one shard per lane. record_state
-  /// touches only per-node slots and the per-shard deltas fold in shard
-  /// order, so the result is independent of the shard layout.
+  /// Full accounting pass over the current registers at construction, one
+  /// shard per lane. record_state touches only per-node slots and the
+  /// per-shard deltas fold in shard order, so the result is independent
+  /// of the shard layout.
   void record_pass(std::uint64_t stamp) {
     sweep_stamp_ = stamp;
     each_shard([this](std::uint32_t s) {
@@ -1338,6 +1267,7 @@ class Simulation {
   /// of its shard's contiguous CSR range, so shard-order concatenation of
   /// sorted queues is the canonical ascending drain.
   std::vector<std::vector<NodeId>> queues_;
+  bool claim_dense_ = false;  ///< take_enabled context: scan the bitmap
   std::vector<std::uint16_t> node_shard_;  ///< node -> shard
   std::vector<NodeId> drain_;           ///< the unit in flight / last unit
   std::vector<NodeId> changed_;         ///< register-changing steps, per unit
@@ -1351,7 +1281,6 @@ class Simulation {
   /// materialized lazily by the next async unit so sync-only runs never
   /// pay for queue bookkeeping.
   bool enable_all_pending_ = true;
-  bool full_sweep_ = false;  ///< legacy daemon: activate all n every unit
 
   ThreadPool* pool_ = nullptr;          ///< not owned; nullptr = one shard
   std::vector<NodeId> shard_starts_;    ///< shards + 1 boundaries

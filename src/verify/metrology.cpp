@@ -28,7 +28,6 @@ void VerifierHarness::init(const WeightedGraph& g) {
   sim_ = std::make_unique<VerifierSim>(g, *proto_,
                                        proto_->initial_states(marker_),
                                        pool_.get());
-  if (cfg_.legacy_sweep) sim_->set_full_sweep(true);
 }
 
 void VerifierHarness::set_threads(unsigned threads) {

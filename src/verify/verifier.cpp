@@ -29,6 +29,12 @@ std::pair<std::uint32_t, std::uint64_t> key_of(const Piece& p) {
   return {p.level, p.root_id};
 }
 
+/// Longest a node holds its Show level for wanting neighbours.
+constexpr std::uint32_t kShowHoldCap = 8;
+/// Train timeout: kTrainStallFactor*(theta+L+2) activations without a
+/// delivered piece.
+constexpr std::uint32_t kTrainStallFactor = 48;
+
 }  // namespace
 
 VerifierProtocol::VerifierProtocol(const WeightedGraph& g, VerifierConfig cfg)
@@ -275,7 +281,7 @@ void VerifierProtocol::run_trains(NodeId v, VerifierState& self,
     if (bc_advanced) {
       t.stall_timer = 0;
     } else if (claim > 0) {
-      if (++t.stall_timer > scale(self, cfg_.train_stall_factor)) {
+      if (++t.stall_timer > scale(self, kTrainStallFactor)) {
         raise(v, self, AlarmReason::kTrainStall,
               which == 0 ? "top train stalled" : "bottom train stalled");
         return;
@@ -401,7 +407,7 @@ void VerifierProtocol::run_show(NodeId v, VerifierState& self,
       }
     }
     if (wanted) ++sh.hold;
-    if (sh.dwell >= 2 && (!wanted || sh.hold > cfg_.hold_cap)) {
+    if (sh.dwell >= 2 && (!wanted || sh.hold > kShowHoldCap)) {
       sh.level = (sh.level + 1) % len;
       sh.filled = false;
       sh.watching = false;
@@ -419,7 +425,7 @@ void VerifierProtocol::run_ask(NodeId v, VerifierState& self,
   AskRt& a = self.ask;
   if (a.level >= len) a = AskRt{};
 
-  const std::uint32_t window = scale(self, cfg_.window_factor);
+  const std::uint32_t window = scale(self, kAskWindowFactor);
   const std::uint64_t budget =
       cfg_.sync_mode
           ? static_cast<std::uint64_t>(cfg_.ask_budget_factor) * (len + 1) *

@@ -127,16 +127,16 @@ struct VerifierState {
 // simulation (adopt_register_file clones them in at construction).
 static_assert(std::is_trivially_copyable_v<VerifierState>);
 
+/// Sync Ask window: kAskWindowFactor*(theta+L+2) rounds. Must cover a full
+/// neighbour Show cycle (~ train cycle ~ 2k + 2*diam <= ~20*theta),
+/// otherwise a level's comparison events can be missed; 32 gives a 2-3x
+/// margin.
+inline constexpr std::uint32_t kAskWindowFactor = 32;
+
 /// Tuning knobs; defaults are calibrated by the test-suite so that correct
 /// instances never alarm while bounds keep the paper's shape.
 struct VerifierConfig {
   bool sync_mode = true;  ///< window-scan (sync) vs Want-handshake (async)
-  /// Sync Ask window: f*(theta+L+2) rounds. Must cover a full neighbour
-  /// Show cycle (~ train cycle ~ 2k + 2*diam <= ~20*theta), otherwise a
-  /// level's comparison events can be missed; 32 gives a 2-3x margin.
-  std::uint32_t window_factor = 32;
-  std::uint32_t hold_cap = 8;        ///< max Show hold for wanters
-  std::uint32_t train_stall_factor = 48;  ///< train timeout: f*(theta+L+2)
   std::uint32_t ask_budget_factor = 16;   ///< ask timeout factor
   /// Pieces stored per node when the harness marks the instance (>= 2);
   /// larger packs shorten the trains (the memory-for-time extension).
@@ -151,10 +151,6 @@ struct VerifierConfig {
   /// mode). kAdversarial opens the worst-case stale-first workload family
   /// for detection-latency experiments.
   DaemonOrder daemon = DaemonOrder::kRandom;
-  /// Async mode only: drive the legacy full-sweep daemon (every node
-  /// activated every unit) instead of the activation queue. The reference
-  /// baseline for queue/full-sweep equivalence tests and benches.
-  bool legacy_sweep = false;
 };
 
 /// The composed self-stabilizing MST verifier (Sections 5-8).

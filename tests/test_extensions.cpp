@@ -143,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, CorruptionSweep,
 TEST(Trains, ShowCycleWithinWindowBound) {
   // Every node's Show must wrap through all levels well within the Ask
   // window (otherwise comparisons can miss events — the calibration that
-  // the window_factor default guards).
+  // the kAskWindowFactor constant guards).
   Rng rng(5);
   for (NodeId n : {64u, 256u}) {
     auto g = gen::random_connected(n, n / 2, rng);
@@ -154,7 +154,7 @@ TEST(Trains, ShowCycleWithinWindowBound) {
     const std::uint32_t theta = top_threshold(n);
     const auto len = static_cast<std::uint32_t>(
         h.marker().labels[0].string_length());
-    const std::uint32_t window = cfg.window_factor * (theta + len + 2);
+    const std::uint32_t window = kAskWindowFactor * (theta + len + 2);
     std::vector<std::uint32_t> wraps(g.n(), 0);
     std::vector<std::uint32_t> last(g.n(), 0);
     for (NodeId v = 0; v < g.n(); ++v) {

@@ -22,9 +22,9 @@ TEST(MultiWave, PipelinedIsLinear) {
     auto m = make_labels(g);
     auto res = run_multiwave(m, true);
     ASSERT_TRUE(res.completed);
-    EXPECT_LE(res.rounds, 16ULL * n + 64) << "n=" << n;
+    EXPECT_LE(res.sim.rounds, 16ULL * n + 64) << "n=" << n;
     ns.push_back(n);
-    ts.push_back(static_cast<double>(res.rounds));
+    ts.push_back(static_cast<double>(res.sim.rounds));
   }
   EXPECT_LT(loglog_slope(ns, ts), 1.35);
 }
@@ -37,7 +37,7 @@ TEST(MultiWave, NaiveBarrierIsSlower) {
   auto slow = run_multiwave(m, false);
   ASSERT_TRUE(fast.completed);
   ASSERT_TRUE(slow.completed);
-  EXPECT_GT(slow.rounds, fast.rounds);
+  EXPECT_GT(slow.sim.rounds, fast.sim.rounds);
 }
 
 TEST(TauTransform, PreservesMstBothWays) {

@@ -128,21 +128,6 @@ TEST(Simulation, StatsAccounting) {
   EXPECT_EQ(sim.time(), s.time);
 }
 
-TEST(Simulation, LegacyFullSweepKeepsClassicAccounting) {
-  // set_full_sweep restores the legacy daemon verbatim: every node is
-  // activated every unit, whatever the activity.
-  Rng rng(10);
-  auto g = gen::cycle(6, rng);
-  FloodProtocol proto(g);
-  Simulation<FloodState> sim(g, proto, std::vector<FloodState>(g.n()));
-  sim.set_full_sweep(true);
-  Rng daemon(11);
-  for (int u = 0; u < 4; ++u) sim.async_unit(daemon);
-  EXPECT_EQ(sim.stats().activations, 4u * g.n());
-  EXPECT_EQ(sim.stats().effective_steps, 0u);  // legacy path: untracked
-  EXPECT_FALSE(sim.async_quiescent());
-}
-
 TEST(Simulation, QueueQuiescesAndFaultWakesOneNeighbourhood) {
   // The event-driven core: once the flood stabilizes the queue empties,
   // and a 1-node register write re-enables exactly its closed

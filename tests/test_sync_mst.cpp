@@ -43,7 +43,7 @@ TEST(SyncMst, LinearTimeSchedule) {
   for (NodeId n : {16u, 64u, 256u, 1024u}) {
     auto g = gen::random_connected(n, n, rng);
     auto run = run_sync_mst(g);
-    EXPECT_LE(run.rounds, 44ULL * n + 64) << "n=" << n;
+    EXPECT_LE(run.sim.rounds, 44ULL * n + 64) << "n=" << n;
   }
 }
 
@@ -53,7 +53,7 @@ TEST(SyncMst, LogarithmicMemory) {
     auto g = gen::random_connected(n, 2 * n, rng);
     auto run = run_sync_mst(g);
     // O(log n) bits: generous constant 40.
-    EXPECT_LE(run.max_state_bits,
+    EXPECT_LE(run.sim.peak_bits,
               40u * static_cast<std::size_t>(ceil_log2(n) + 1))
         << "n=" << n;
   }
@@ -159,7 +159,7 @@ TEST(GhsBaseline, SlowerThanSyncMstAtScale) {
   auto ghs = run_ghs_boruvka(g);
   auto fast = run_sync_mst(g);
   // The O(n log n) baseline should take strictly more rounds at this size.
-  EXPECT_GT(ghs.rounds, fast.rounds);
+  EXPECT_GT(ghs.sim.rounds, fast.sim.rounds);
 }
 
 // Property sweep over random graphs and seeds.

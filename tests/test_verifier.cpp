@@ -168,7 +168,7 @@ TEST(Verifier, MemoryStaysLogarithmic) {
     auto g = gen::random_connected(n, n / 2, rng);
     VerifierHarness h(g, sync_cfg(), 43);
     h.run(60);
-    EXPECT_LE(h.sim().max_state_bits(),
+    EXPECT_LE(h.sim().stats().peak_bits,
               120u * static_cast<std::size_t>(ceil_log2(n) + 2))
         << "n=" << n;
   }
