@@ -47,7 +47,7 @@ int main() {
               "(part diameter is O(log n))\n",
               res.alarming.size(), res.distance.value_or(0));
   for (const auto& ev : harness.protocol().alarm_trace()) {
-    std::printf("  node %u: %s\n", ev.node, ev.detail.c_str());
+    std::printf("  node %u: %s\n", ev.node, ev.detail);
     break;  // first alarm is enough for the demo
   }
   return 0;

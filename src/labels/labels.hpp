@@ -245,10 +245,21 @@ std::shared_ptr<LabelArena> adopt_labels_into_pooled_arena(
   return arena;
 }
 
+/// The natural field widths label_bits costs with. They depend only on n
+/// and the maximum weight, so per-activation callers compute them once.
+struct LabelWidths {
+  LabelWidths(NodeId n, Weight max_weight);
+  std::size_t id_bits;     ///< a node identity
+  std::size_t n_bits;      ///< a node count
+  std::size_t lvl_bits;    ///< a level index
+  std::size_t piece_bits;  ///< a piece: identity, level and weight
+};
+
 /// Semantic bit size of a label (ids, counters and pieces costed at their
 /// natural widths given n and the maximum weight). Costs the *live*
 /// content only — invariant across storage layouts (pinned by
 /// test_labels BitSizePins).
+std::size_t label_bits(const NodeLabels& l, const LabelWidths& w);
 std::size_t label_bits(const NodeLabels& l, NodeId n, Weight max_weight,
                        std::uint32_t degree);
 

@@ -5,24 +5,6 @@
 
 namespace ssmst {
 
-namespace {
-
-class NbrKkpReader final : public KkpReader {
- public:
-  explicit NbrKkpReader(const NeighborReader<KkpState>& nbr) : nbr_(&nbr) {}
-  const KkpLabels& labels(std::uint32_t port) const override {
-    return nbr_->at_port(port).labels;
-  }
-  std::uint32_t parent_port(std::uint32_t port) const override {
-    return nbr_->at_port(port).parent_port;
-  }
-
- private:
-  const NeighborReader<KkpState>* nbr_;
-};
-
-}  // namespace
-
 KkpVerifierProtocol::KkpVerifierProtocol(const WeightedGraph& g) : g_(&g) {
   for (const Edge& e : g.edges()) max_weight_ = std::max(max_weight_, e.w);
 }
@@ -31,10 +13,8 @@ void KkpVerifierProtocol::step(NodeId v, KkpState& self,
                                const NeighborReader<KkpState>& nbr,
                                std::uint64_t /*time*/) {
   if (self.alarm) return;
-  NbrKkpReader reader(nbr);
-  self.alarm =
-      !verify_kkp_1round(*g_, v, self.labels, self.parent_port, reader)
-           .empty();
+  self.alarm = verify_kkp_1round(*g_, v, self.labels, self.parent_port,
+                                 RegisterReader{nbr}) != LabelViolation::kNone;
 }
 
 std::shared_ptr<void> KkpVerifierProtocol::adopt_register_file(

@@ -9,22 +9,6 @@ namespace ssmst {
 
 namespace {
 
-/// LabelReader adapter over the verifier registers.
-class RegLabelReader final : public LabelReader {
- public:
-  explicit RegLabelReader(const NeighborReader<VerifierState>& nbr)
-      : nbr_(&nbr) {}
-  const NodeLabels& labels(std::uint32_t port) const override {
-    return nbr_->at_port(port).labels;
-  }
-  std::uint32_t parent_port(std::uint32_t port) const override {
-    return nbr_->at_port(port).parent_port;
-  }
-
- private:
-  const NeighborReader<VerifierState>* nbr_;
-};
-
 std::pair<std::uint32_t, std::uint64_t> key_of(const Piece& p) {
   return {p.level, p.root_id};
 }
@@ -35,32 +19,28 @@ constexpr std::uint32_t kShowHoldCap = 8;
 /// delivered piece.
 constexpr std::uint32_t kTrainStallFactor = 48;
 
+Weight max_weight_of(const WeightedGraph& g) {
+  Weight w = 0;
+  for (const Edge& e : g.edges()) w = std::max(w, e.w);
+  return w;
+}
+
+std::uint64_t cube(std::uint64_t x) { return x * x * x; }
+
 }  // namespace
 
 VerifierProtocol::VerifierProtocol(const WeightedGraph& g, VerifierConfig cfg)
-    : g_(&g), cfg_(cfg) {
-  for (const Edge& e : g.edges()) max_weight_ = std::max(max_weight_, e.w);
-}
-
-std::uint32_t VerifierProtocol::scale(const VerifierState& s,
-                                      std::uint32_t factor) const {
-  const std::uint32_t theta =
-      top_threshold(std::max<NodeId>(s.labels.n_claim, 1));
-  const auto len = static_cast<std::uint32_t>(s.labels.string_length());
-  return factor * (theta + len + 2);
-}
+    : g_(&g),
+      cfg_(cfg),
+      widths_(g.n(), max_weight_of(g)),
+      timer_cube_(cube(ceil_log2(std::max<NodeId>(g.n(), 2)) + 2)) {}
 
 void VerifierProtocol::raise(NodeId v, VerifierState& self,
-                             AlarmReason reason, std::string detail) {
+                             AlarmReason reason, const char* detail) {
   if (self.alarm != AlarmReason::kNone) return;
   self.alarm = reason;
   std::lock_guard<std::mutex> lk(trace_mu_);
-  trace_.push_back({v, reason, std::move(detail)});
-}
-
-std::uint32_t VerifierProtocol::part_parent_port(
-    const VerifierState& self) const {
-  return self.parent_port;  // validity is established by the caller
+  trace_.push_back({v, reason, detail});
 }
 
 bool VerifierProtocol::piece_is_mine(const VerifierState& self, int which,
@@ -82,23 +62,27 @@ void VerifierProtocol::step(NodeId v, VerifierState& self,
   if (self.alarm != AlarmReason::kNone) return;  // alarms are sticky
 
   // --- 1-round label checks, every activation ------------------------------
-  RegLabelReader reader(nbr);
-  if (auto e = verify_labels_1round(*g_, v, self.labels, self.parent_port,
-                                    reader);
-      !e.empty()) {
-    raise(v, self, AlarmReason::kLabels, e);
+  if (const LabelViolation e = verify_labels_1round(
+          *g_, v, self.labels, self.parent_port, RegisterReader{nbr});
+      e != LabelViolation::kNone) {
+    raise(v, self, AlarmReason::kLabels, describe(e));
     return;
   }
 
-  run_trains(v, self, nbr);
+  const std::uint32_t theta =
+      top_threshold(std::max<NodeId>(self.labels.n_claim, 1));
+  const std::uint32_t scale =
+      theta + static_cast<std::uint32_t>(self.labels.string_length()) + 2;
+  run_trains(v, self, nbr, scale);
   if (self.alarm != AlarmReason::kNone) return;
   run_show(v, self, nbr);
   if (self.alarm != AlarmReason::kNone) return;
-  run_ask(v, self, nbr);
+  run_ask(v, self, nbr, scale);
 }
 
 void VerifierProtocol::run_trains(NodeId v, VerifierState& self,
-                                  const NeighborReader<VerifierState>& nbr) {
+                                  const NeighborReader<VerifierState>& nbr,
+                                  std::uint32_t scale) {
   const NodeLabels& l = self.labels;
   const std::uint32_t deg = g_->degree(v);
 
@@ -281,7 +265,7 @@ void VerifierProtocol::run_trains(NodeId v, VerifierState& self,
     if (bc_advanced) {
       t.stall_timer = 0;
     } else if (claim > 0) {
-      if (++t.stall_timer > scale(self, kTrainStallFactor)) {
+      if (++t.stall_timer > kTrainStallFactor * scale) {
         raise(v, self, AlarmReason::kTrainStall,
               which == 0 ? "top train stalled" : "bottom train stalled");
         return;
@@ -418,39 +402,36 @@ void VerifierProtocol::run_show(NodeId v, VerifierState& self,
 }
 
 void VerifierProtocol::run_ask(NodeId v, VerifierState& self,
-                               const NeighborReader<VerifierState>& nbr) {
+                               const NeighborReader<VerifierState>& nbr,
+                               std::uint32_t scale) {
   const NodeLabels& l = self.labels;
   const auto len = static_cast<std::uint32_t>(l.string_length());
   const std::uint32_t deg = g_->degree(v);
   AskRt& a = self.ask;
   if (a.level >= len) a = AskRt{};
 
-  const std::uint32_t window = scale(self, kAskWindowFactor);
+  const std::uint32_t window = kAskWindowFactor * scale;
   const std::uint64_t budget =
       cfg_.sync_mode
           ? static_cast<std::uint64_t>(cfg_.ask_budget_factor) * (len + 1) *
-                (window + scale(self, 4))
+                (window + 4 * scale)
           : static_cast<std::uint64_t>(cfg_.ask_budget_factor) * (deg + 2) *
-                (len + 1) * scale(self, 4);
+                (len + 1) * (4 * scale);
   if (++a.cycle_timer > budget) {
     raise(v, self, AlarmReason::kAskStall,
           "comparison cycle failed to complete in time");
     return;
   }
 
-  auto mine = [&]() -> std::optional<Piece> {
-    if (a.present) return a.piece;
-    return std::nullopt;
-  };
   auto run_event = [&](std::uint32_t p) -> bool {
     const VerifierState& u = nbr.at_port(p);
     if (u.labels.string_length() != len) return true;  // label check alarms
-    std::optional<Piece> theirs;
-    if (u.show.present) theirs = u.show.piece;
-    if (auto e = check_pair_event(*g_, v, p, a.level, l, self.parent_port,
-                                  u.labels, u.parent_port, mine(), theirs);
-        !e.empty()) {
-      raise(v, self, AlarmReason::kPairCheck, e);
+    if (const LabelViolation e = check_pair_event(
+            *g_, v, p, a.level, l, self.parent_port, u.labels, u.parent_port,
+            a.present ? &a.piece : nullptr,
+            u.show.present ? &u.show.piece : nullptr);
+        e != LabelViolation::kNone) {
+      raise(v, self, AlarmReason::kPairCheck, describe(e));
       return false;
     }
     return true;
@@ -504,22 +485,17 @@ void VerifierProtocol::run_ask(NodeId v, VerifierState& self,
 
 std::size_t VerifierProtocol::state_bits(const VerifierState& s,
                                          NodeId v) const {
-  const NodeId n = g_->n();
-  const std::size_t id_bits = bits_for_values(std::max<NodeId>(n, 2));
-  const std::size_t lvl_bits =
-      bits_for_counter(ceil_log2(std::max<NodeId>(n, 2)) + 1);
-  const std::size_t w_bits = bits_for_counter(max_weight_ | 1);
-  const std::size_t piece_bits = id_bits + lvl_bits + w_bits;
-  const std::size_t port_bits = bits_for_values(g_->degree(v) + 2);
+  const std::size_t id_bits = widths_.id_bits;
+  const std::size_t lvl_bits = widths_.lvl_bits;
+  const std::size_t piece_bits = widths_.piece_bits;
+  const std::uint32_t deg = g_->degree(v);
+  const std::size_t port_bits = bits_for_values(deg + 2);
   const std::size_t seq_bits = 8;      // sequence counters (mod 256 suffices)
-  const std::size_t timer_bits = bits_for_counter(
-      64ULL * (g_->degree(v) + 2) *
-      (ceil_log2(std::max<NodeId>(n, 2)) + 2) *
-      (ceil_log2(std::max<NodeId>(n, 2)) + 2) *
-      (ceil_log2(std::max<NodeId>(n, 2)) + 2));
+  const std::size_t timer_bits =
+      bits_for_counter(64ULL * (deg + 2) * timer_cube_);
 
   std::size_t bits = port_bits;  // component
-  bits += label_bits(s.labels, n, max_weight_, g_->degree(v));
+  bits += label_bits(s.labels, widths_);
   for (int i = 0; i < 2; ++i) {
     bits += 2 + 2;                       // stage, emit_idx
     bits += port_bits + seq_bits;        // child_port, child_taken

@@ -4,7 +4,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -218,7 +217,9 @@ class VerifierProtocol final : public Protocol<VerifierState> {
   struct AlarmEvent {
     NodeId node;
     AlarmReason reason;
-    std::string detail;
+    /// Static text, never owned: describe(LabelViolation) for a failed
+    /// label check, a fixed literal for train, Show and Ask alarms.
+    const char* detail;
   };
   const std::vector<AlarmEvent>& alarm_trace() const { return trace_; }
   void clear_trace() {
@@ -227,27 +228,24 @@ class VerifierProtocol final : public Protocol<VerifierState> {
   }
 
  private:
-  struct Ctx;  // per-step derived values
-
-  void watch_streams(NodeId v, VerifierState& self,
-                     const NeighborReader<VerifierState>& nbr);
+  // `scale` is theta + L + 2 for the node's claimed n and its string
+  // length L: every timeout is a multiple of it. step computes it once.
   void run_trains(NodeId v, VerifierState& self,
-                  const NeighborReader<VerifierState>& nbr);
+                  const NeighborReader<VerifierState>& nbr,
+                  std::uint32_t scale);
   void run_show(NodeId v, VerifierState& self,
                 const NeighborReader<VerifierState>& nbr);
   void run_ask(NodeId v, VerifierState& self,
-               const NeighborReader<VerifierState>& nbr);
+               const NeighborReader<VerifierState>& nbr, std::uint32_t scale);
 
-  // Alarms are sticky, so each node allocates its trace entry at most once
-  // per episode — a one-shot cold transition, not steady-state work.
-  SSMST_ALLOC_OK void raise(NodeId v, VerifierState& self, AlarmReason reason,
-                            std::string detail);
+  // Alarms are sticky, so each node appends its trace entry at most once
+  // per episode; `detail` is static text.
+  void raise(NodeId v, VerifierState& self, AlarmReason reason,
+             const char* detail);
 
   bool piece_is_mine(const VerifierState& self, int which,
                      const Piece& piece, bool bc_flag) const;
 
-  /// Part parent port of this node for train `which` (kNoPort = part root).
-  std::uint32_t part_parent_port(const VerifierState& self) const;
   std::uint64_t part_root_id(const VerifierState& self, int which) const {
     return which == 0 ? self.labels.top_part_root_id
                       : self.labels.bot_part_root_id;
@@ -257,9 +255,10 @@ class VerifierProtocol final : public Protocol<VerifierState> {
   VerifierConfig cfg_;
   mutable std::vector<AlarmEvent> trace_;
   mutable std::mutex trace_mu_;  ///< guards trace_ during parallel rounds
-  Weight max_weight_ = 0;
-
-  std::uint32_t scale(const VerifierState& s, std::uint32_t factor) const;
+  // state_bits runs after every activation; its n-dependent widths are
+  // fixed at construction.
+  LabelWidths widths_;
+  std::uint64_t timer_cube_;  ///< (ceil_log2(n) + 2)^3 of the timer bound
 };
 
 /// Convenience: simulation type for the verifier.

@@ -28,7 +28,7 @@ TEST_P(PackSweep, MarkerValidAndVerifierQuiet) {
   if (alarm) {
     const auto& tr = h.protocol().alarm_trace();
     FAIL() << "pack=" << pack << " false alarm"
-           << (tr.empty() ? "" : ": " + tr.front().detail);
+           << ": " << (tr.empty() ? "" : tr.front().detail);
   }
 }
 
@@ -192,7 +192,7 @@ TEST(TauTransform, TransformedInstanceVerifiable) {
     if (alarm) {
       const auto& tr = h.protocol().alarm_trace();
       FAIL() << "false alarm on transformed MST"
-             << (tr.empty() ? "" : ": " + tr.front().detail);
+             << ": " << (tr.empty() ? "" : tr.front().detail);
     }
   }
   std::vector<bool> bad;

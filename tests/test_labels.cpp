@@ -10,35 +10,31 @@
 namespace ssmst {
 namespace {
 
-/// LabelReader over plain vectors (centralized test fixture).
-class VecReader final : public LabelReader {
- public:
-  VecReader(const WeightedGraph& g, NodeId v,
-            const std::vector<NodeLabels>& labels,
-            const std::vector<std::uint32_t>& ports)
-      : g_(&g), v_(v), labels_(&labels), ports_(&ports) {}
-  const NodeLabels& labels(std::uint32_t port) const override {
-    return (*labels_)[g_->half_edge(v_, port).to];
+/// Label reader over plain vectors (centralized test fixture); `Labels`
+/// is NodeLabels for the base check and KkpLabels for the KKP check.
+template <typename Labels>
+struct VecReader {
+  const WeightedGraph& g;
+  NodeId v;
+  const std::vector<Labels>& all;
+  const std::vector<std::uint32_t>& ports;
+  const Labels& labels(std::uint32_t port) const {
+    return all[g.half_edge(v, port).to];
   }
-  std::uint32_t parent_port(std::uint32_t port) const override {
-    return (*ports_)[g_->half_edge(v_, port).to];
+  std::uint32_t parent_port(std::uint32_t port) const {
+    return ports[g.half_edge(v, port).to];
   }
-
- private:
-  const WeightedGraph* g_;
-  NodeId v_;
-  const std::vector<NodeLabels>* labels_;
-  const std::vector<std::uint32_t>* ports_;
 };
 
 std::string check_all(const WeightedGraph& g,
                       const std::vector<NodeLabels>& labels,
                       const std::vector<std::uint32_t>& ports) {
   for (NodeId v = 0; v < g.n(); ++v) {
-    VecReader reader(g, v, labels, ports);
-    if (auto e = verify_labels_1round(g, v, labels[v], ports[v], reader);
-        !e.empty()) {
-      return "node " + std::to_string(v) + ": " + e;
+    const VecReader<NodeLabels> reader{g, v, labels, ports};
+    if (const LabelViolation e =
+            verify_labels_1round(g, v, labels[v], ports[v], reader);
+        e != LabelViolation::kNone) {
+      return "node " + std::to_string(v) + ": " + describe(e);
     }
   }
   return {};
@@ -223,34 +219,15 @@ TEST(Mutations, ComponentCorruptionDetected) {
 
 // ---- KKP 1-round scheme ---------------------------------------------------
 
-class VecKkpReader final : public KkpReader {
- public:
-  VecKkpReader(const WeightedGraph& g, NodeId v,
-               const std::vector<KkpLabels>& labels,
-               const std::vector<std::uint32_t>& ports)
-      : g_(&g), v_(v), labels_(&labels), ports_(&ports) {}
-  const KkpLabels& labels(std::uint32_t port) const override {
-    return (*labels_)[g_->half_edge(v_, port).to];
-  }
-  std::uint32_t parent_port(std::uint32_t port) const override {
-    return (*ports_)[g_->half_edge(v_, port).to];
-  }
-
- private:
-  const WeightedGraph* g_;
-  NodeId v_;
-  const std::vector<KkpLabels>* labels_;
-  const std::vector<std::uint32_t>* ports_;
-};
-
 std::string check_kkp_all(const WeightedGraph& g, const MarkerOutput& m,
                           const std::vector<KkpLabels>& kkp) {
   auto ports = m.parent_ports();
   for (NodeId v = 0; v < g.n(); ++v) {
-    VecKkpReader reader(g, v, kkp, ports);
-    if (auto e = verify_kkp_1round(g, v, kkp[v], ports[v], reader);
-        !e.empty()) {
-      return "node " + std::to_string(v) + ": " + e;
+    const VecReader<KkpLabels> reader{g, v, kkp, ports};
+    if (const LabelViolation e =
+            verify_kkp_1round(g, v, kkp[v], ports[v], reader);
+        e != LabelViolation::kNone) {
+      return "node " + std::to_string(v) + ": " + describe(e);
     }
   }
   return {};

@@ -34,7 +34,7 @@ TEST(Verifier, QuietOnCorrectInstanceSync) {
   if (alarm) {
     const auto& tr = h.protocol().alarm_trace();
     FAIL() << "false alarm at t=" << *alarm
-           << (tr.empty() ? "" : (": " + tr.front().detail));
+           << ": " << (tr.empty() ? "" : tr.front().detail);
   }
 }
 
@@ -46,7 +46,7 @@ TEST(Verifier, QuietOnCorrectInstanceAsync) {
   if (alarm) {
     const auto& tr = h.protocol().alarm_trace();
     FAIL() << "false alarm at t=" << *alarm
-           << (tr.empty() ? "" : (": " + tr.front().detail));
+           << ": " << (tr.empty() ? "" : tr.front().detail);
   }
 }
 
@@ -57,7 +57,7 @@ TEST(Verifier, QuietOnSuiteSync) {
     if (alarm) {
       const auto& tr = h.protocol().alarm_trace();
       FAIL() << name << ": false alarm at t=" << *alarm
-             << (tr.empty() ? "" : (": " + tr.front().detail));
+             << ": " << (tr.empty() ? "" : tr.front().detail);
     }
   }
 }
