@@ -27,11 +27,9 @@ int main() {
       VerifierConfig cfg;
       cfg.pack = pack;
       VerifierHarness h(g, cfg, seed);
-      Weight maxw = 0;
-      for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+      const LabelWidths widths(g);
       for (NodeId v = 0; v < g.n(); ++v) {
-        bits = std::max(bits, label_bits(h.marker().labels[v], n, maxw,
-                                         g.degree(v)));
+        bits = std::max(bits, label_bits(h.marker().labels[v], widths));
       }
       if (h.run(64).has_value()) continue;
       auto victim = h.tamper_loadbearing_piece(seed * 13);

@@ -50,13 +50,11 @@ int main(int argc, char** argv) {
     const auto n = static_cast<NodeId>(nn);
     auto g = gen::random_connected(n, n / 2, rng);
     auto m = make_labels(g);
-    Weight maxw = 0;
-    for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+    const LabelWidths widths(g);
     std::size_t ours = 0, kkp = 0;
     for (NodeId v = 0; v < g.n(); ++v) {
-      ours = std::max(ours, label_bits(m.labels[v], n, maxw, g.degree(v)));
-      kkp = std::max(kkp,
-                     kkp_label_bits(m.kkp_label(v), n, maxw, g.degree(v)));
+      ours = std::max(ours, label_bits(m.labels[v], widths));
+      kkp = std::max(kkp, kkp_label_bits(m.kkp_label(v), widths));
     }
     const double logn = ceil_log2(n) + 1;
     t.add_row({Table::num(std::uint64_t{n}), Table::num(std::uint64_t{ours}),

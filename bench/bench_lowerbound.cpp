@@ -59,12 +59,10 @@ int main() {
       // KKP: measure label bits; detection time 1 by construction.
       {
         auto m = make_labels(g);
-        Weight maxw = 0;
-        for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+        const LabelWidths widths(g);
         std::size_t bits = 0;
         for (NodeId v = 0; v < g.n(); ++v) {
-          bits = std::max(bits, kkp_label_bits(m.kkp_label(v), n, maxw,
-                                               g.degree(v)));
+          bits = std::max(bits, kkp_label_bits(m.kkp_label(v), widths));
         }
         t.add_row({Table::num(std::uint64_t{n}), "kkp (1-round)",
                    Table::num(std::uint64_t{bits}), "1",

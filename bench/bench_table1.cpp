@@ -9,7 +9,7 @@
 // Parallel layout: the three checker rows per n are independent sims and
 // fan out over a BatchRunner; the leftover lanes are handed to each row as
 // its sharded-sync-round width (TransformerOptions::threads and
-// VerifierHarness::set_threads), which is bit-identical to serial — the
+// VerifierConfig::threads), which is bit-identical to serial — the
 // printed numbers do not depend on the thread count (argv[1], default:
 // hardware).
 //
@@ -35,8 +35,8 @@ std::uint64_t measured_detection(const WeightedGraph& g, CheckerKind kind,
   switch (kind) {
     case CheckerKind::kTrainVerifier: {
       VerifierConfig cfg;
+      cfg.threads = threads;
       VerifierHarness h(g, cfg, seed);
-      h.set_threads(threads);
       if (h.run(64).has_value()) return 0;
       auto victim = h.tamper_loadbearing_piece(seed);
       if (!victim) return 0;
@@ -142,13 +142,11 @@ int main(int argc, char** argv) {
       auto g = gen::random_connected(n, n, rng);
       VerifierConfig cfg;
       VerifierHarness h(g, cfg, 5);
-      Weight maxw = 0;
-      for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+      const LabelWidths widths(g);
       std::size_t kkp_max = 0;
       for (NodeId v = 0; v < n; ++v) {
-        kkp_max = std::max(
-            kkp_max,
-            kkp_label_bits(h.marker().kkp_label(v), n, maxw, g.degree(v)));
+        kkp_max = std::max(kkp_max,
+                           kkp_label_bits(h.marker().kkp_label(v), widths));
       }
       const ScaleProbeResult probe = run_scale_probe(h);
       if (!probe.ok) {

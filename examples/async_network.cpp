@@ -19,13 +19,8 @@ int main() {
   // 1. Construct the MST asynchronously: SYNC_MST under the synchronizer.
   SyncMstProtocol inner(g);
   Synchronizer<SyncMstState> wrapper(g, inner);
-  std::vector<SynchronizedState<SyncMstState>> init(g.n());
-  auto inner_init = inner.initial_states();
-  for (NodeId v = 0; v < g.n(); ++v) {
-    init[v].cur = inner_init[v];
-    init[v].prev = inner_init[v];
-  }
-  Simulation<SynchronizedState<SyncMstState>> sim(g, wrapper, init);
+  Simulation<SynchronizedState<SyncMstState>> sim(
+      g, wrapper, synchronized_initial_states(inner.initial_states()));
   Rng daemon(11);
   while (true) {
     bool done = true;

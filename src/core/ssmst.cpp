@@ -22,12 +22,10 @@ InstanceReport analyze_instance(const WeightedGraph& g,
   rep.top_parts = m.partitions.top_parts.size();
   rep.bottom_parts = m.partitions.bot_parts.size();
 
-  Weight maxw = 0;
-  for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+  const LabelWidths widths(g);
   for (NodeId v = 0; v < g.n(); ++v) {
-    rep.max_label_bits = std::max(
-        rep.max_label_bits, label_bits(m.labels[v], g.n(), maxw,
-                                       g.degree(v)));
+    rep.max_label_bits =
+        std::max(rep.max_label_bits, label_bits(m.labels[v], widths));
   }
   rep.verifier_quiet = !harness.run(probe_units).has_value();
   return rep;

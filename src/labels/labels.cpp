@@ -4,11 +4,15 @@
 
 namespace ssmst {
 
-LabelWidths::LabelWidths(NodeId n, Weight max_weight)
-    : id_bits(bits_for_values(std::max<NodeId>(n, 2))),
-      n_bits(bits_for_counter(n)),
-      lvl_bits(bits_for_counter(ceil_log2(std::max<NodeId>(n, 2)) + 1)),
-      piece_bits(id_bits + lvl_bits + bits_for_counter(max_weight | 1)) {}
+LabelWidths::LabelWidths(const WeightedGraph& g)
+    : id_bits(bits_for_values(std::max<NodeId>(g.n(), 2))),
+      n_bits(bits_for_counter(g.n())),
+      lvl_bits(bits_for_counter(ceil_log2(std::max<NodeId>(g.n(), 2)) + 1)),
+      piece_bits(id_bits + lvl_bits) {
+  Weight max_weight = 0;
+  for (const Edge& e : g.edges()) max_weight = std::max(max_weight, e.w);
+  piece_bits += bits_for_counter(max_weight | 1);
+}
 
 std::size_t label_bits(const NodeLabels& l, const LabelWidths& w) {
   std::size_t bits = 0;
@@ -28,14 +32,7 @@ std::size_t label_bits(const NodeLabels& l, const LabelWidths& w) {
   return bits;
 }
 
-std::size_t label_bits(const NodeLabels& l, NodeId n, Weight max_weight,
-                       std::uint32_t /*degree*/) {
-  return label_bits(l, LabelWidths(n, max_weight));
-}
-
-std::size_t kkp_label_bits(const KkpLabels& l, NodeId n, Weight max_weight,
-                           std::uint32_t /*degree*/) {
-  const LabelWidths w(n, max_weight);
+std::size_t kkp_label_bits(const KkpLabels& l, const LabelWidths& w) {
   std::size_t bits = label_bits(l.base, w);
   for (const auto& p : l.pieces) {
     bits += 1;  // presence bit

@@ -246,9 +246,10 @@ std::shared_ptr<LabelArena> adopt_labels_into_pooled_arena(
 }
 
 /// The natural field widths label_bits costs with. They depend only on n
-/// and the maximum weight, so per-activation callers compute them once.
+/// and the heaviest edge weight, so per-activation callers compute them
+/// once.
 struct LabelWidths {
-  LabelWidths(NodeId n, Weight max_weight);
+  explicit LabelWidths(const WeightedGraph& g);
   std::size_t id_bits;     ///< a node identity
   std::size_t n_bits;      ///< a node count
   std::size_t lvl_bits;    ///< a level index
@@ -260,8 +261,6 @@ struct LabelWidths {
 /// content only — invariant across storage layouts (pinned by
 /// test_labels BitSizePins).
 std::size_t label_bits(const NodeLabels& l, const LabelWidths& w);
-std::size_t label_bits(const NodeLabels& l, NodeId n, Weight max_weight,
-                       std::uint32_t degree);
 
 /// Labels of the KKP O(log^2 n)-bit 1-round scheme ([54,55], recalled in
 /// Section 3.1): the base labels plus the *full* table of pieces I(F_j(v))
@@ -273,7 +272,6 @@ struct KkpLabels {
   std::vector<std::optional<Piece>> pieces;  ///< indexed by level
 };
 
-std::size_t kkp_label_bits(const KkpLabels& l, NodeId n, Weight max_weight,
-                           std::uint32_t degree);
+std::size_t kkp_label_bits(const KkpLabels& l, const LabelWidths& w);
 
 }  // namespace ssmst

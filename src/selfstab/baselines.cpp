@@ -5,10 +5,6 @@
 
 namespace ssmst {
 
-KkpVerifierProtocol::KkpVerifierProtocol(const WeightedGraph& g) : g_(&g) {
-  for (const Edge& e : g.edges()) max_weight_ = std::max(max_weight_, e.w);
-}
-
 void KkpVerifierProtocol::step(NodeId v, KkpState& self,
                                const NeighborReader<KkpState>& nbr,
                                std::uint64_t /*time*/) {
@@ -26,7 +22,7 @@ std::shared_ptr<void> KkpVerifierProtocol::adopt_register_file(
 std::size_t KkpVerifierProtocol::state_bits(const KkpState& s,
                                             NodeId v) const {
   return bits_for_values(g_->degree(v) + 2) +
-         kkp_label_bits(s.labels, g_->n(), max_weight_, g_->degree(v)) + 1;
+         kkp_label_bits(s.labels, widths_) + 1;
 }
 
 std::size_t KkpVerifierProtocol::state_phys_bytes(const KkpState& s) const {

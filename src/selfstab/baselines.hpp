@@ -24,7 +24,8 @@ struct KkpState {
 // never register-memcpy'd, so the flat-header contract does not apply.
 class KkpVerifierProtocol final : public Protocol<KkpState> {
  public:
-  explicit KkpVerifierProtocol(const WeightedGraph& g);
+  explicit KkpVerifierProtocol(const WeightedGraph& g)
+      : g_(&g), widths_(g) {}
 
   SSMST_HOT_PATH void step(NodeId v, KkpState& self,
                            const NeighborReader<KkpState>& nbr,
@@ -59,7 +60,9 @@ class KkpVerifierProtocol final : public Protocol<KkpState> {
 
  private:
   const WeightedGraph* g_;
-  Weight max_weight_ = 0;
+  // state_bits runs after every activation; its widths are fixed at
+  // construction.
+  LabelWidths widths_;
 };
 
 }  // namespace ssmst

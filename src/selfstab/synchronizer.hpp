@@ -34,6 +34,19 @@ inline constexpr bool synchronized_state_is_flat =
     std::is_trivially_copyable_v<SynchronizedState<Inner>>;
 static_assert(synchronized_state_is_flat<int>);
 
+/// Start registers of a synchronized run: every node at pulse 0 with both
+/// slots holding its inner initial state.
+template <typename Inner>
+std::vector<SynchronizedState<Inner>> synchronized_initial_states(
+    const std::vector<Inner>& inner) {
+  std::vector<SynchronizedState<Inner>> init(inner.size());
+  for (std::size_t v = 0; v < inner.size(); ++v) {
+    init[v].cur = inner[v];
+    init[v].prev = inner[v];
+  }
+  return init;
+}
+
 template <typename Inner>
 class Synchronizer final : public Protocol<SynchronizedState<Inner>> {
  public:

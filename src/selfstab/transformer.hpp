@@ -5,7 +5,6 @@
 #include <string>
 
 #include "graph/graph.hpp"
-#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace ssmst {
@@ -35,19 +34,17 @@ struct StabilizationReport {
   std::uint32_t iterations = 0;    ///< transformer loop iterations
 };
 
-/// Options for one experiment.
+/// Options for one experiment. Every asynchronous phase (checker, reset
+/// wave, synchronized rebuild) runs under the weakly fair random daemon,
+/// and the closure probe after a rebuild is a 64-unit quiet window.
 struct TransformerOptions {
   CheckerKind checker = CheckerKind::kTrainVerifier;
   bool synchronous = true;     ///< async uses the fair daemon (+synchronizer)
   std::uint64_t seed = 1;      ///< daemon & corruption randomness
-  std::uint64_t quiet_units = 64;  ///< post-stabilization closure window
   /// Shards the checker's synchronous rounds across this many threads
   /// (1 = serial). Results are bit-identical at any value; asynchronous
   /// phases are unaffected.
   unsigned threads = 1;
-  /// Daemon discipline for every asynchronous phase (checker, reset wave,
-  /// synchronized rebuild). kAdversarial = worst-case stale-first drain.
-  DaemonOrder daemon = DaemonOrder::kRandom;
 };
 
 /// The enhanced Resynchronizer (Theorems 10.1-10.3) driven end to end:

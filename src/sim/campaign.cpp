@@ -85,6 +85,14 @@ std::optional<GraphFamily> parse_family(std::string_view name) {
 
 namespace {
 
+/// Episode constants (CampaignConfig comment): the daemon discipline, the
+/// quiet warmup, the storm's gap between waves and the co-alarm collection
+/// window after detection. Labels keep VerifierConfig's default pack of 2.
+constexpr DaemonOrder kDaemon = DaemonOrder::kAdversarial;
+constexpr std::uint64_t kWarmupUnits = 64;
+constexpr std::uint64_t kWaveGap = 8;
+constexpr std::uint64_t kSlackUnits = 64;
+
 /// The f nodes closest to a random center, by (BFS distance, id) — a
 /// correlated blast radius rather than uniform scatter.
 std::vector<NodeId> correlated_victims(const WeightedGraph& g, std::size_t f,
@@ -109,12 +117,9 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
   // Aux-state classes are must-detect exactly when the watchdog is armed:
   // it IS their detection mechanism (class comment in the header). With it
   // off they record the missed-detection baseline instead of failing.
-  const bool wd_on =
-      cfg.watchdog == Watchdog::kOn ||
-      (cfg.watchdog == Watchdog::kAuto && aux);
+  const bool wd_on = cfg.watchdog && aux;
   r.detection_expected = cfg.cls == CampaignClass::kPieceTamper ||
-                         cfg.cls == CampaignClass::kNonMstMark ||
-                         (aux && wd_on);
+                         cfg.cls == CampaignClass::kNonMstMark || wd_on;
   Rng root(seed);
   Rng grng = root.split();
   Rng frng = root.split();
@@ -128,13 +133,10 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
   }
 
   const std::uint64_t logn = ceil_log2(std::max<NodeId>(g.n(), 2)) + 2;
-  const std::uint64_t budget =
-      cfg.max_units != 0 ? cfg.max_units : 160 * logn * logn + 2000;
+  const std::uint64_t budget = 160 * logn * logn + 2000;
 
   VerifierConfig vcfg;
-  vcfg.sync_mode = cfg.sync_mode;
-  vcfg.daemon = cfg.daemon;
-  vcfg.pack = cfg.pack;
+  vcfg.sync_mode = false;
 
   // Marking + the differential oracle (the campaign/oracle contract in the
   // header): the oracle judges the stabilized marked instance before any
@@ -166,13 +168,7 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
   auto& sim = h->sim();
   // Drives the daemon directly (not VerifierHarness::run) so storm waves
   // keep landing after a mid-storm alarm — run() returns at first alarm.
-  auto step = [&] {
-    if (cfg.sync_mode) {
-      sim.sync_round();
-    } else {
-      sim.async_unit(daemon, cfg.daemon);
-    }
-  };
+  auto step = [&] { sim.async_unit(daemon, kDaemon); };
   auto run_until_alarm = [&](std::uint64_t units) {
     for (std::uint64_t i = 0; i < units && !sim.first_alarm_time(); ++i) {
       step();
@@ -195,7 +191,7 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
   }
 
   // A correct marked instance must hold quiet through the warmup.
-  if (run_until_alarm(cfg.warmup)) {
+  if (run_until_alarm(kWarmupUnits)) {
     r.error = "false alarm during warmup";
     return r;
   }
@@ -205,10 +201,7 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
     return r;
   }
 
-  if (wd_on) {
-    sim.set_watchdog(cfg.watchdog_budget != 0 ? cfg.watchdog_budget
-                                              : watchdog_budget_for(g.n()));
-  }
+  if (wd_on) sim.set_watchdog(watchdog_budget_for(g.n()));
 
   std::vector<NodeId> victims;
   const std::uint64_t t0 = sim.time();
@@ -229,7 +222,7 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
       // up — injection continues regardless).
       for (std::uint32_t w = 0; w < cfg.waves; ++w) {
         if (w > 0) {
-          for (std::uint64_t i = 0; i < cfg.wave_gap; ++i) step();
+          for (std::uint64_t i = 0; i < kWaveGap; ++i) step();
         }
         auto wave = pick_fault_nodes(g.n(), cfg.faults, frng);
         inject_faults<VerifierState>(h->protocol(), sim,
@@ -317,7 +310,7 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
       // distance to (mirrors the kNonMstMark convention).
       r.distance = 0;
     } else {
-      for (std::uint64_t i = 0; i < cfg.slack; ++i) step();
+      for (std::uint64_t i = 0; i < kSlackUnits; ++i) step();
       r.distance = detection_distance(g, victims, sim.alarmed_nodes());
       if (!r.distance) {
         r.error = "detected but alarm set empty";  // unreachable by contract

@@ -114,33 +114,24 @@ bool is_aux_class(CampaignClass c);
 std::optional<CampaignClass> parse_class(std::string_view name);
 std::optional<GraphFamily> parse_family(std::string_view name);
 
-/// Watchdog arming policy for an episode. kAuto arms it exactly for the
-/// aux-state classes (where it is the detection mechanism) and leaves the
-/// register-fault classes' schedules untouched; kOff on an aux class
-/// demonstrates the missed-detection baseline (detection_expected drops to
-/// false and the episode records the miss instead of failing).
-enum class Watchdog { kAuto, kOn, kOff };
-
+/// One campaign's shape. Every episode runs asynchronously under the
+/// adversarial stale-first daemon (DaemonOrder::kAdversarial, the
+/// co-scheduled worst case the class is named for), marks pack-2 labels,
+/// holds 64 warmup units quiet, and uses the automatic budgets: detection
+/// within 160 * (log n + 2)^2 + 2000 units and, when armed, a watchdog
+/// trip every watchdog_budget_for(n) units (sim/campaign.cpp).
 struct CampaignConfig {
   GraphFamily family = GraphFamily::kRandom;
   CampaignClass cls = CampaignClass::kScattered;
   NodeId n = 64;
   std::size_t faults = 4;      ///< per wave; clamped to n by pick_fault_nodes
   std::uint32_t waves = 3;     ///< kStorm: number of fault waves
-  std::uint64_t wave_gap = 8;  ///< kStorm: units between waves
-  bool sync_mode = false;      ///< async daemon by default (the hard case)
-  /// Adversarial stale-first daemon by default: the co-scheduled worst
-  /// case the class is named for.
-  DaemonOrder daemon = DaemonOrder::kAdversarial;
-  std::uint64_t warmup = 64;   ///< pre-injection units that must stay quiet
-  /// Detection budget; 0 = auto (c * (log n)^2 units, covering the train
-  /// path's O(log^2 n) detection bound with margin).
-  std::uint64_t max_units = 0;
-  std::uint64_t slack = 64;    ///< co-alarm collection window after detection
-  std::uint32_t pack = 2;      ///< marker pieces per node
-  Watchdog watchdog = Watchdog::kAuto;
-  /// Watchdog trip budget in units; 0 = auto (watchdog_budget_for(n)).
-  std::uint64_t watchdog_budget = 0;
+  /// Arms the watchdog on the aux-state classes, where it is the detection
+  /// mechanism; the register-fault classes' schedules are never touched.
+  /// false on an aux class records the missed-detection baseline
+  /// (detection_expected drops to false and the episode records the miss
+  /// instead of failing).
+  bool watchdog = true;
 };
 
 /// One episode's outcome. `ok` is the fuzz-suite property; `skipped` marks

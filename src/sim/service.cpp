@@ -50,6 +50,15 @@ bool deterministic_equal(const TenantReport& a, const TenantReport& b) {
 
 namespace {
 
+/// Episode budgets (VerificationService class comment): the deadline is
+/// kDeadlineFactor * watchdog_budget_for(n) units over at most
+/// kMaxAttempts detection windows; every tenant first holds kWarmupUnits
+/// quiet, and a healthy one serves kWorkUnits before its final audit.
+constexpr std::uint64_t kDeadlineFactor = 24;
+constexpr std::uint32_t kMaxAttempts = 3;
+constexpr std::uint64_t kWarmupUnits = 64;
+constexpr std::uint64_t kWorkUnits = 256;
+
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
@@ -84,9 +93,9 @@ void run_episode(const ServiceConfiguration& cfg, const TenantSpec& spec,
   VerifierSim& sim = h.sim();
 
   const std::uint64_t base = watchdog_budget_for(g.n());
-  r.deadline_units = cfg.deadline_factor() * base;
+  r.deadline_units = kDeadlineFactor * base;
 
-  if (h.run(cfg.warmup_units()).has_value()) {
+  if (h.run(kWarmupUnits).has_value()) {
     r.outcome = TenantOutcome::kError;
     r.error = "false alarm during warmup";
     return;
@@ -124,12 +133,12 @@ void run_episode(const ServiceConfiguration& cfg, const TenantSpec& spec,
     }
   }
 
-  sim.set_watchdog(base, cfg.escalate_after());
+  sim.set_watchdog(base);
 
   if (!faulted) {
-    // Healthy traffic: serve work_units quiet, then a final audit.
+    // Healthy traffic: serve kWorkUnits quiet, then a final audit.
     std::uint64_t i = 0;
-    for (; i < cfg.work_units() && !sim.first_alarm_time(); ++i) {
+    for (; i < kWorkUnits && !sim.first_alarm_time(); ++i) {
       sim.async_unit(daemon, vcfg.daemon);
     }
     r.units_used = i;
@@ -156,13 +165,12 @@ void run_episode(const ServiceConfiguration& cfg, const TenantSpec& spec,
     };
     bool detected = false;
     std::uint64_t used = 0;
-    for (std::uint32_t attempt = 1; attempt <= cfg.max_attempts();
-         ++attempt) {
+    for (std::uint32_t attempt = 1; attempt <= kMaxAttempts; ++attempt) {
       r.attempts = attempt;
       if (attempt > 1) {
         // Backoff rung: the reseed-repair retry re-arms the watchdog at
         // double the previous trip budget.
-        sim.set_watchdog(base << (attempt - 1), cfg.escalate_after());
+        sim.set_watchdog(base << (attempt - 1));
       }
       // One trip window plus the post-reseed detection bound (the
       // bounded-latency pin in tests/test_aux_faults.cpp), doubling per

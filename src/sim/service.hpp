@@ -88,6 +88,10 @@ bool deterministic_equal(const TenantReport& a, const TenantReport& b);
 ///                               .threads(8)
 ///                               .queue_capacity(128)
 ///                               .service_seed(42));
+///
+/// The episode's own budgets are fixed: 64 quiet warmup units, 256 traffic
+/// units for a healthy tenant, 3 detection windows, and a deadline of
+/// 24 * watchdog_budget_for(n) logical units (sim/service.cpp).
 class ServiceConfiguration {
  public:
   /// Scheduler lanes (ThreadPool width). 0 is treated as 1.
@@ -98,37 +102,8 @@ class ServiceConfiguration {
     queue_capacity_ = v;
     return *this;
   }
-  /// Deadline budget = deadline_factor * watchdog_budget_for(n) logical
-  /// units per tenant (units, not wall time, so the budget — and with it
-  /// every outcome — is scheduling-independent).
-  ServiceConfiguration& deadline_factor(std::uint64_t v) {
-    deadline_factor_ = v;
-    return *this;
-  }
-  /// Detection windows per tenant before quarantine (each retry re-arms
-  /// the watchdog at double the budget: the exponential backoff rungs).
-  ServiceConfiguration& max_attempts(std::uint32_t v) {
-    max_attempts_ = v;
-    return *this;
-  }
-  /// Consecutive audit-failing watchdog trips before escalation
-  /// (Simulation::set_watchdog pass-through).
-  ServiceConfiguration& escalate_after(std::uint32_t v) {
-    escalate_after_ = v;
-    return *this;
-  }
   ServiceConfiguration& service_seed(std::uint64_t v) {
     service_seed_ = v;
-    return *this;
-  }
-  /// Pre-injection units every tenant must hold quiet.
-  ServiceConfiguration& warmup_units(std::uint64_t v) {
-    warmup_units_ = v;
-    return *this;
-  }
-  /// Traffic units a healthy (kNone) tenant serves before its final audit.
-  ServiceConfiguration& work_units(std::uint64_t v) {
-    work_units_ = v;
     return *this;
   }
   /// Optional wall clock for per-tenant SLO timing (bench_service injects
@@ -141,12 +116,7 @@ class ServiceConfiguration {
 
   unsigned threads() const { return threads_; }
   std::size_t queue_capacity() const { return queue_capacity_; }
-  std::uint64_t deadline_factor() const { return deadline_factor_; }
-  std::uint32_t max_attempts() const { return max_attempts_; }
-  std::uint32_t escalate_after() const { return escalate_after_; }
   std::uint64_t service_seed() const { return service_seed_; }
-  std::uint64_t warmup_units() const { return warmup_units_; }
-  std::uint64_t work_units() const { return work_units_; }
   const std::function<std::uint64_t()>& wall_clock() const {
     return wall_clock_;
   }
@@ -154,12 +124,7 @@ class ServiceConfiguration {
  private:
   unsigned threads_ = ThreadPool::hardware_threads();
   std::size_t queue_capacity_ = 256;
-  std::uint64_t deadline_factor_ = 24;
-  std::uint32_t max_attempts_ = 3;
-  std::uint32_t escalate_after_ = 3;
   std::uint64_t service_seed_ = 1;
-  std::uint64_t warmup_units_ = 64;
-  std::uint64_t work_units_ = 256;
   std::function<std::uint64_t()> wall_clock_;
 };
 
@@ -179,10 +144,12 @@ class ServiceConfiguration {
 ///   running:
 ///     no fault, traffic quiet, final audit clean ............ kHealthy
 ///     fault detected (alarm or audit violation) within the
-///       deadline, and the repair ladder cleared the damage:
+///       deadline (24 * watchdog_budget_for(n) units), and the
+///       repair ladder cleared the damage:
 ///       - aux damage: the watchdog's reseed repair (strike
-///         ledger; each expired window re-arms at double the
-///         budget — exponential backoff), or
+///         ledger of up to 3 detection windows; each expired
+///         window re-arms at double the budget — exponential
+///         backoff), or
 ///       - structural damage: escalation floods run_reset from
 ///         the audit's suspect set ........................... kRepaired
 ///     detected but damage survives the escalation re-audit,

@@ -300,7 +300,7 @@ struct AuditReport {
 ///    detection latency of any register fault is bounded by budget + the
 ///    protocol's own detection bound. Repairs count into
 ///    SimulationStats::repairs; audit-failing trips accumulate strikes,
-///    and `escalate_after` consecutive failing trips set
+///    and kWatchdogEscalateAfter (3) consecutive failing trips set
 ///    watchdog_escalated() — the signal that reseeding is not clearing the
 ///    corruption source (e.g. structurally corrupt registers) and the
 ///    caller must escalate to the selfstab/reset.hpp run_reset + re-mark
@@ -529,21 +529,19 @@ class Simulation {
   /// Arms the watchdog: every `budget_units` time units the engine audits
   /// and applies the round-0 reseed repair (unconditionally — see the
   /// class comment for why a clean audit cannot certify quiescence under
-  /// the total-state model). `escalate_after` consecutive audit-failing
-  /// trips set watchdog_escalated(). budget_units == 0 disarms. The
-  /// budget should be derived from the instance's stabilization bound —
-  /// wide enough that a healthy run quiesces well inside one window
-  /// (verify/metrology.hpp's watchdog_budget_for gives the verifier's
-  /// O(log^2 n) default).
-  void set_watchdog(std::uint64_t budget_units,
-                    std::uint32_t escalate_after = 3) {
+  /// the total-state model). kWatchdogEscalateAfter consecutive
+  /// audit-failing trips set watchdog_escalated(). budget_units == 0
+  /// disarms. The budget should be derived from the instance's
+  /// stabilization bound — wide enough that a healthy run quiesces well
+  /// inside one window (verify/metrology.hpp's watchdog_budget_for gives
+  /// the verifier's O(log^2 n) default).
+  void set_watchdog(std::uint64_t budget_units) {
     watchdog_budget_ = budget_units;
-    watchdog_escalate_after_ = escalate_after;
     watchdog_window_start_ = stats_.time;
     watchdog_strikes_ = 0;
     watchdog_escalated_ = false;
   }
-  /// True once `escalate_after` consecutive watchdog trips found audit
+  /// True once kWatchdogEscalateAfter consecutive watchdog trips found audit
   /// violations: the reseed repair is not clearing the corruption source
   /// and the caller must escalate (run_reset + re-mark). Sticky until the
   /// watchdog is re-armed.
@@ -1232,7 +1230,7 @@ class Simulation {
   __attribute__((noinline)) void watchdog_trip() {
     audit_into(wd_report_);
     if (!wd_report_.ok()) {
-      if (++watchdog_strikes_ >= watchdog_escalate_after_) {
+      if (++watchdog_strikes_ >= kWatchdogEscalateAfter) {
         watchdog_escalated_ = true;
       }
     } else {
@@ -1319,7 +1317,8 @@ class Simulation {
   AuditReport wd_report_;            ///< reused trip report (warm = no alloc)
   std::uint64_t watchdog_budget_ = 0;        ///< 0 = disarmed
   std::uint64_t watchdog_window_start_ = 0;  ///< stats_.time at window open
-  std::uint32_t watchdog_escalate_after_ = 3;
+  /// Consecutive audit-failing trips that set watchdog_escalated().
+  static constexpr std::uint32_t kWatchdogEscalateAfter = 3;
   std::uint32_t watchdog_strikes_ = 0;  ///< consecutive audit-failing trips
   bool watchdog_escalated_ = false;
 };

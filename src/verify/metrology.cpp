@@ -30,16 +30,6 @@ void VerifierHarness::init(const WeightedGraph& g) {
                                        pool_.get());
 }
 
-void VerifierHarness::set_threads(unsigned threads) {
-  if (threads <= 1) {
-    sim_->set_thread_pool(nullptr);
-    pool_.reset();
-    return;
-  }
-  pool_ = std::make_unique<ThreadPool>(threads);
-  sim_->set_thread_pool(pool_.get());
-}
-
 std::optional<std::uint64_t> VerifierHarness::run(std::uint64_t units) {
   for (std::uint64_t i = 0; i < units; ++i) {
     if (cfg_.sync_mode) {

@@ -26,7 +26,11 @@ struct DetectionResult {
 
 /// Drives one verifier instance end to end: mark, warm up, corrupt,
 /// measure. The scheduler follows the config: lock-step rounds in sync
-/// mode, a weakly fair random daemon otherwise.
+/// mode, a weakly fair random daemon otherwise. With cfg.threads > 1 the
+/// harness owns a pool of that width; combining it with an outer
+/// BatchRunner fan-out is safe but multiplies live lanes — keep
+/// batch-width x threads near the core count (bench_table1 splits its
+/// lanes that way).
 class VerifierHarness {
  public:
   /// Marks the graph's MST (correct instance).
@@ -43,13 +47,6 @@ class VerifierHarness {
   const MarkerOutput& marker() const { return marker_; }
   VerifierProtocol& protocol() { return *proto_; }
   VerifierSim& sim() { return *sim_; }
-
-  /// Shards synchronous rounds across `threads` (1 = serial, the default).
-  /// Bit-identical results at any value; async mode is unaffected. Each
-  /// harness owns its pool, so combining with an outer BatchRunner fan-out
-  /// is safe but multiplies live lanes — keep batch-width x threads near
-  /// the core count (bench_table1 splits its lanes that way).
-  void set_threads(unsigned threads);
 
   /// Runs `units` time units; returns the first alarm time, if any.
   std::optional<std::uint64_t> run(std::uint64_t units);
@@ -80,7 +77,7 @@ class VerifierHarness {
   MarkerOutput marker_;
   std::unique_ptr<VerifierProtocol> proto_;
   std::unique_ptr<VerifierSim> sim_;
-  std::unique_ptr<ThreadPool> pool_;  ///< owned; attached to sim_ when > 1
+  std::unique_ptr<ThreadPool> pool_;  ///< owned; cfg_.threads > 1 only
   Rng daemon_;
 };
 

@@ -19,12 +19,6 @@ constexpr std::uint32_t kShowHoldCap = 8;
 /// delivered piece.
 constexpr std::uint32_t kTrainStallFactor = 48;
 
-Weight max_weight_of(const WeightedGraph& g) {
-  Weight w = 0;
-  for (const Edge& e : g.edges()) w = std::max(w, e.w);
-  return w;
-}
-
 std::uint64_t cube(std::uint64_t x) { return x * x * x; }
 
 }  // namespace
@@ -32,7 +26,7 @@ std::uint64_t cube(std::uint64_t x) { return x * x * x; }
 VerifierProtocol::VerifierProtocol(const WeightedGraph& g, VerifierConfig cfg)
     : g_(&g),
       cfg_(cfg),
-      widths_(g.n(), max_weight_of(g)),
+      widths_(g),
       timer_cube_(cube(ceil_log2(std::max<NodeId>(g.n(), 2)) + 2)) {}
 
 void VerifierProtocol::raise(NodeId v, VerifierState& self,
@@ -413,10 +407,10 @@ void VerifierProtocol::run_ask(NodeId v, VerifierState& self,
   const std::uint32_t window = kAskWindowFactor * scale;
   const std::uint64_t budget =
       cfg_.sync_mode
-          ? static_cast<std::uint64_t>(cfg_.ask_budget_factor) * (len + 1) *
+          ? std::uint64_t{kAskBudgetFactor} * (len + 1) *
                 (window + 4 * scale)
-          : static_cast<std::uint64_t>(cfg_.ask_budget_factor) * (deg + 2) *
-                (len + 1) * (4 * scale);
+          : std::uint64_t{kAskBudgetFactor} * (deg + 2) * (len + 1) *
+                (4 * scale);
   if (++a.cycle_timer > budget) {
     raise(v, self, AlarmReason::kAskStall,
           "comparison cycle failed to complete in time");

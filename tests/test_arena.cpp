@@ -147,14 +147,12 @@ TEST(StatsPins, PeakBitsMatchesLiveLabelBitsOnKnownInstance) {
   auto g = gen::random_connected(64, 32, rng);
   VerifierConfig cfg;
   VerifierHarness h(g, cfg, 1);
-  Weight maxw = 0;
-  for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+  const LabelWidths widths(g);
   std::size_t expect_peak = 0, expect_lab = 0;
   for (NodeId v = 0; v < g.n(); ++v) {
     const auto& s = h.sim().cstate(v);
     expect_peak = std::max(expect_peak, h.protocol().state_bits(s, v));
-    expect_lab =
-        std::max(expect_lab, label_bits(s.labels, g.n(), maxw, g.degree(v)));
+    expect_lab = std::max(expect_lab, label_bits(s.labels, widths));
   }
   EXPECT_EQ(h.sim().stats().peak_bits, expect_peak);
   EXPECT_EQ(expect_peak, 556u);   // == BitSizePins st_max

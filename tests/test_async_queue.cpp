@@ -265,12 +265,7 @@ TEST(AsyncQueueEquivalence, SynchronizedSyncMstMatchesFullSweepPerUnit) {
       SyncMstProtocol inner_a(g), inner_b(g);
       Synchronizer<SyncMstState> pa(g, inner_a), pb(g, inner_b);
       FullSweep<SyncState> sweep_b(pb);
-      std::vector<SyncState> init(g.n());
-      const auto inner_init = inner_a.initial_states();
-      for (NodeId v = 0; v < g.n(); ++v) {
-        init[v].cur = inner_init[v];
-        init[v].prev = inner_init[v];
-      }
+      const auto init = synchronized_initial_states(inner_a.initial_states());
       Simulation<SyncState> a(g, pa, init);
       Simulation<SyncState> b(g, sweep_b, init);
       Rng da(16), db(16);

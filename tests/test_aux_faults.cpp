@@ -331,7 +331,7 @@ TEST(Watchdog, PersistentRegisterFaultEscalates) {
                     [](NodeId, VerifierState& s) {
                       s.labels.set_string_length(0);
                     });
-  sim.set_watchdog(/*budget_units=*/8, /*escalate_after=*/3);
+  sim.set_watchdog(/*budget_units=*/8);
   // Drive units directly: the truncation may raise (sticky) alarms, and
   // VerifierHarness::run would return at the first one.
   Rng daemon(555);
@@ -409,7 +409,7 @@ TEST(AuxCampaign, WatchdogOffRecordsTheMissedDetectionBaseline) {
   cfg.cls = CampaignClass::kAuxQueueDrop;
   cfg.family = GraphFamily::kRandom;
   cfg.n = 32;
-  cfg.watchdog = campaign::Watchdog::kOff;
+  cfg.watchdog = false;
   std::size_t ran = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     const EpisodeResult r =

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "datalink.hpp"
 #include "graph/generators.hpp"
-#include "sim/datalink.hpp"
 #include "sim/simulation.hpp"
 
 namespace ssmst {

@@ -72,12 +72,10 @@ TEST(Marker, LabelBitsLogarithmic) {
   for (NodeId n : {64u, 256u, 1024u, 4096u}) {
     auto g = gen::random_connected(n, n / 2, rng);
     auto m = make_labels(g);
-    Weight maxw = 0;
-    for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+    const LabelWidths widths(g);
     std::size_t max_bits = 0;
     for (NodeId v = 0; v < n; ++v) {
-      max_bits =
-          std::max(max_bits, label_bits(m.labels[v], n, maxw, g.degree(v)));
+      max_bits = std::max(max_bits, label_bits(m.labels[v], widths));
     }
     EXPECT_LE(max_bits, 40u * static_cast<std::size_t>(ceil_log2(n) + 1))
         << "n=" << n;
@@ -93,13 +91,11 @@ TEST(Marker, KkpLabelBitsQuadraticInLogN) {
   for (NodeId n : {64u, 256u, 1024u, 4096u}) {
     auto g = gen::random_connected(n, n / 2, rng);
     auto m = make_labels(g);
-    Weight maxw = 0;
-    for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+    const LabelWidths widths(g);
     std::size_t ours = 0, kkp = 0;
     for (NodeId v = 0; v < g.n(); ++v) {
-      ours = std::max(ours, label_bits(m.labels[v], n, maxw, g.degree(v)));
-      kkp = std::max(kkp, kkp_label_bits(m.kkp_label(v), n, maxw,
-                                         g.degree(v)));
+      ours = std::max(ours, label_bits(m.labels[v], widths));
+      kkp = std::max(kkp, kkp_label_bits(m.kkp_label(v), widths));
     }
     const double ratio = static_cast<double>(kkp) / static_cast<double>(ours);
     EXPECT_GT(ratio, prev_ratio) << "n=" << n;
@@ -298,17 +294,16 @@ TEST(BitSizePins, LabelAndStateBitsUnchangedByFlatLayout) {
   VerifierConfig cfg;
   VerifierProtocol proto(g, cfg);
   auto init = proto.initial_states(m);
-  Weight maxw = 0;
-  for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+  const LabelWidths widths(g);
   std::size_t lab_sum = 0, st_sum = 0, lab_max = 0, st_max = 0, kkp_sum = 0;
   for (NodeId v = 0; v < g.n(); ++v) {
-    const auto lb = label_bits(m.labels[v], g.n(), maxw, g.degree(v));
+    const auto lb = label_bits(m.labels[v], widths);
     const auto sb = proto.state_bits(init[v], v);
     lab_sum += lb;
     st_sum += sb;
     lab_max = std::max(lab_max, lb);
     st_max = std::max(st_max, sb);
-    kkp_sum += kkp_label_bits(m.kkp_label(v), g.n(), maxw, g.degree(v));
+    kkp_sum += kkp_label_bits(m.kkp_label(v), widths);
   }
   EXPECT_EQ(lab_sum, 9584u);
   EXPECT_EQ(lab_max, 190u);
@@ -322,11 +317,10 @@ TEST(BitSizePins, StarAndPathFamilies) {
     Rng rng(5);
     auto g = gen::star(33, rng);
     auto m = make_labels(g, 4);
-    Weight maxw = 0;
-    for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+    const LabelWidths widths(g);
     std::size_t lab_sum = 0;
     for (NodeId v = 0; v < g.n(); ++v) {
-      lab_sum += label_bits(m.labels[v], g.n(), maxw, g.degree(v));
+      lab_sum += label_bits(m.labels[v], widths);
     }
     EXPECT_EQ(lab_sum, 4272u);
   }
@@ -334,11 +328,10 @@ TEST(BitSizePins, StarAndPathFamilies) {
     Rng rng(5);
     auto g = gen::path(41, rng);
     auto m = make_labels(g, 2);
-    Weight maxw = 0;
-    for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
+    const LabelWidths widths(g);
     std::size_t lab_sum = 0;
     for (NodeId v = 0; v < g.n(); ++v) {
-      lab_sum += label_bits(m.labels[v], g.n(), maxw, g.degree(v));
+      lab_sum += label_bits(m.labels[v], widths);
     }
     EXPECT_EQ(lab_sum, 5679u);
   }
@@ -361,9 +354,8 @@ TEST(BitSizePins, BitsCostContentNotStorage) {
   b.clone_from(a, *arena);
   ASSERT_NE(a.arena, b.arena);
   ASSERT_NE(a.lvl_off, b.lvl_off);
-  Weight maxw = 0;
-  for (const Edge& e : g.edges()) maxw = std::max(maxw, e.w);
-  EXPECT_EQ(label_bits(a, g.n(), maxw, 3), label_bits(b, g.n(), maxw, 3));
+  const LabelWidths widths(g);
+  EXPECT_EQ(label_bits(a, widths), label_bits(b, widths));
   EXPECT_TRUE(a == b);
   // Mutating the clone must not write through to the original.
   const RootsEntry orig = a.roots()[0];

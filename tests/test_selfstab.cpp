@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "graph/generators.hpp"
 #include "graph/mst.hpp"
 #include "mstalgo/sync_mst.hpp"
@@ -33,13 +36,8 @@ TEST(Synchronizer, RunsSyncMstUnderAsyncDaemon) {
   auto g = gen::random_connected(48, 30, rng);
   SyncMstProtocol inner(g);
   Synchronizer<SyncMstState> wrapper(g, inner);
-  std::vector<SynchronizedState<SyncMstState>> init(g.n());
-  auto inner_init = inner.initial_states();
-  for (NodeId v = 0; v < g.n(); ++v) {
-    init[v].cur = inner_init[v];
-    init[v].prev = inner_init[v];
-  }
-  Simulation<SynchronizedState<SyncMstState>> sim(g, wrapper, init);
+  Simulation<SynchronizedState<SyncMstState>> sim(
+      g, wrapper, synchronized_initial_states(inner.initial_states()));
   Rng daemon(6);
   const std::uint64_t bound = 10ULL * (44ULL * g.n() + 64);
   for (;;) {
@@ -70,13 +68,8 @@ TEST(Synchronizer, PulsesNeverDivergeByMoreThanOne) {
   auto g = gen::path(20, rng);
   SyncMstProtocol inner(g);
   Synchronizer<SyncMstState> wrapper(g, inner);
-  std::vector<SynchronizedState<SyncMstState>> init(g.n());
-  auto inner_init = inner.initial_states();
-  for (NodeId v = 0; v < g.n(); ++v) {
-    init[v].cur = inner_init[v];
-    init[v].prev = inner_init[v];
-  }
-  Simulation<SynchronizedState<SyncMstState>> sim(g, wrapper, init);
+  Simulation<SynchronizedState<SyncMstState>> sim(
+      g, wrapper, synchronized_initial_states(inner.initial_states()));
   Rng daemon(8);
   for (int i = 0; i < 200; ++i) {
     sim.async_unit(daemon);
@@ -162,6 +155,83 @@ TEST(Transformer, AsyncStabilizes) {
   auto rep = ss.stabilize_from_arbitrary();
   EXPECT_TRUE(rep.stabilized);
   EXPECT_TRUE(rep.output_is_mst);
+}
+
+// report_fields writes stabilized and output_is_mst as two digits, then
+// the detect, reset, build, mark, quiet-window and total times, the peak
+// state bits and the iteration count.
+std::string report_fields(const StabilizationReport& r) {
+  std::ostringstream os;
+  os << r.stabilized << r.output_is_mst << " d=" << r.detect_time
+     << " r=" << r.reset_time << " b=" << r.build_time
+     << " m=" << r.mark_time << " q=" << r.verify_quiet_time
+     << " t=" << r.total_time << " bits=" << r.max_state_bits
+     << " it=" << r.iterations;
+  return os.str();
+}
+
+// Every StabilizationReport field of one small instance, for each checker,
+// scheduler and entry point: stabilize_from_arbitrary() on one object, then
+// recover_from_faults(3) and recover_from_faults(2) on a second. The pins
+// move if the transformer changes its random-number draw order or its
+// per-phase accounting. Sync rows also run at threads = 2, whose sharded
+// checker rounds must not change a single field.
+TEST(Transformer, ReportsPinned) {
+  struct Pin {
+    CheckerKind kind;
+    bool synchronous;
+    const char* arbitrary;
+    const char* recover3;
+    const char* then2;
+  };
+  const Pin pins[] = {
+      {CheckerKind::kTrainVerifier, true,
+       "11 d=1 r=2 b=621 m=704 q=64 t=1328 bits=528 it=1",
+       "11 d=1 r=5 b=621 m=704 q=64 t=1331 bits=528 it=1",
+       "11 d=60 r=6 b=621 m=704 q=64 t=1391 bits=528 it=1"},
+      {CheckerKind::kTrainVerifier, false,
+       "11 d=1 r=2 b=621 m=704 q=64 t=1328 bits=528 it=1",
+       "11 d=1 r=5 b=621 m=704 q=64 t=1331 bits=528 it=1",
+       "11 d=1 r=4 b=621 m=704 q=64 t=1330 bits=528 it=1"},
+      {CheckerKind::kKkpVerifier, true,
+       "11 d=1 r=2 b=621 m=704 q=64 t=1328 bits=229 it=1",
+       "11 d=1 r=5 b=621 m=704 q=64 t=1331 bits=229 it=1",
+       "11 d=1 r=5 b=621 m=704 q=64 t=1331 bits=229 it=1"},
+      {CheckerKind::kKkpVerifier, false,
+       "11 d=1 r=2 b=621 m=704 q=64 t=1328 bits=230 it=1",
+       "11 d=1 r=4 b=621 m=704 q=64 t=1330 bits=230 it=1",
+       "11 d=8 r=0 b=0 m=0 q=0 t=8 bits=229 it=0"},
+      {CheckerKind::kRecompute, true,
+       "11 d=621 r=2 b=621 m=704 q=0 t=1948 bits=99 it=1",
+       "11 d=621 r=5 b=621 m=704 q=0 t=1951 bits=99 it=1",
+       "11 d=621 r=5 b=621 m=704 q=0 t=1951 bits=99 it=1"},
+      {CheckerKind::kRecompute, false,
+       "11 d=621 r=2 b=621 m=704 q=0 t=1948 bits=230 it=1",
+       "11 d=621 r=4 b=621 m=704 q=0 t=1950 bits=230 it=1",
+       "11 d=621 r=4 b=621 m=704 q=0 t=1950 bits=230 it=1"},
+  };
+  Rng rng(11);
+  auto g = gen::random_connected(39, 19, rng);
+  for (const Pin& pin : pins) {
+    for (unsigned threads : {1u, 2u}) {
+      if (!pin.synchronous && threads > 1) continue;
+      TransformerOptions opt;
+      opt.checker = pin.kind;
+      opt.synchronous = pin.synchronous;
+      opt.threads = threads;
+      const std::string tag = to_string(pin.kind) +
+                              (pin.synchronous ? " sync" : " async") +
+                              " threads " + std::to_string(threads);
+      SelfStabilizingMst fresh(g, opt);
+      EXPECT_EQ(report_fields(fresh.stabilize_from_arbitrary()),
+                pin.arbitrary)
+          << tag;
+      SelfStabilizingMst ss(g, opt);
+      EXPECT_EQ(report_fields(ss.recover_from_faults(3)), pin.recover3)
+          << tag;
+      EXPECT_EQ(report_fields(ss.recover_from_faults(2)), pin.then2) << tag;
+    }
+  }
 }
 
 class TransformerSweep

@@ -118,9 +118,7 @@ TEST(Verifier, CoordinatedEmptyTrainsCaughtByTimeout) {
   // compare pieces: only the Ask timeout can save us — and it must.
   Rng rng(7);
   auto g = gen::random_connected(24, 12, rng);
-  VerifierConfig cfg = sync_cfg();
-  cfg.ask_budget_factor = 2;  // keep the test fast
-  VerifierHarness h(g, cfg, 37);
+  VerifierHarness h(g, sync_cfg(), 37);
   for (NodeId v = 0; v < g.n(); ++v) {
     auto& st = h.sim().state(v);
     st.labels.set_top_perm(nullptr, 0);

@@ -2,29 +2,34 @@
 # Interleaved A/B of one perfbench workload between two git revisions.
 #
 # Usage: tools/ab.sh <base-rev> <change-rev> <workload> [pairs] [seconds]
+#                    [seed]
 #
 #   base-rev, change-rev  any git revisions, e.g. HEAD~1 HEAD
 #   workload              pipeline | train-detect | kkp-storm | fleet
 #   pairs                 interleaved run pairs          (default: 10)
 #   seconds               perfbench --seconds per run    (default: 2)
+#   seed                  perfbench --seed for every run (default: 1)
 #
 # Both revisions are exported with `git archive` into a temporary
 # directory. Each side builds its own perfbench through its own
 # perfbench/run.py, with a CARGO_TARGET_DIR of its own; that first call
 # also runs the workload once as an untimed warm-up. The pairs then run
-# with seed 1, alternating which side goes first. The script fails if any
-# run is not `"correct": true` with `"failed": 0`, or if the two sides
-# print different `simulated digest` lines. It prints, for every
-# end-to-end metric in the change side's BENCHMARK.json, each side's
-# median and quartiles and the number of pairs the change won.
+# with the given seed, alternating which side goes first, so a claim made
+# at seed 1 can be rechecked on a fresh seed. The script fails if any run
+# is not `"correct": true` with `"failed": 0`, or if the two sides print
+# different `simulated digest` lines. It prints, for every end-to-end
+# metric in the change side's BENCHMARK.json, each side's median and
+# quartiles and the number of pairs the change won.
 set -euo pipefail
 
-usage="usage: tools/ab.sh <base-rev> <change-rev> <workload> [pairs] [seconds]"
+usage="usage: tools/ab.sh <base-rev> <change-rev> <workload> [pairs]"
+usage+=" [seconds] [seed]"
 base_rev=${1:?$usage}
 change_rev=${2:?$usage}
 workload=${3:?$usage}
 pairs=${4:-10}
 seconds=${5:-2}
+seed=${6:-1}
 
 case "$workload" in
   pipeline | train-detect | kkp-storm | fleet) ;;
@@ -32,6 +37,10 @@ case "$workload" in
 esac
 if ! [[ $pairs =~ ^[1-9][0-9]*$ && $seconds =~ ^[1-9][0-9]*$ ]]; then
   echo "ab.sh: pairs and seconds must be positive integers" >&2
+  exit 2
+fi
+if ! [[ $seed =~ ^[0-9]+$ ]]; then
+  echo "ab.sh: seed must be digits only" >&2
   exit 2
 fi
 
@@ -54,7 +63,8 @@ done
 run_side() {
   (cd "$tmp/$1" &&
     CARGO_TARGET_DIR="$tmp/$1-target" python3 perfbench/run.py \
-      --workload "$workload" --seed 1 --seconds "$seconds" --trace 0) >"$2"
+      --workload "$workload" --seed "$seed" --seconds "$seconds" \
+      --trace 0) >"$2"
   tail -n 1 "$2" | python3 -c '
 import json, sys
 r = json.load(sys.stdin)
@@ -89,8 +99,8 @@ for ((i = 1; i <= pairs; i++)); do
   echo "pair $i/$pairs done" >&2
 done
 
-echo "$workload: $pairs pairs at --seconds $seconds, base ${base_sha:0:12}," \
-  "change ${change_sha:0:12}"
+echo "$workload: $pairs pairs at --seconds $seconds --seed $seed," \
+  "base ${base_sha:0:12}, change ${change_sha:0:12}"
 echo "$base_digest"
 python3 - "$tmp" "$pairs" <<'EOF'
 import json

@@ -29,8 +29,9 @@ fi
 
 if command -v clang-tidy >/dev/null 2>&1 &&
   [[ -f "$build/compile_commands.json" ]]; then
-  # Library translation units only: benches/tests inherit the same headers.
-  find "$root/src" -name '*.cpp' -print0 |
+  # Library and bench-support translation units: benches and tests inherit
+  # the same headers.
+  find "$root/src" "$root/bench/support" -name '*.cpp' -print0 |
     xargs -0 clang-tidy -p "$build" --quiet || status=$?
 else
   echo "run_lint: clang-tidy or compile_commands.json missing; skipped" >&2
