@@ -68,12 +68,15 @@ class ResetProtocol final : public Protocol<ResetState> {
 /// The wave quiesces in the queue once settled — nodes outside the
 /// frontier cost nothing per unit.
 ///
-/// This is also the watchdog's escalation path (total-state fault model;
+/// This is also the watchdog's escalation step (total-state fault model;
 /// sim/simulation.hpp class comment): when Simulation::watchdog_escalated()
 /// reports that repeated audit-failing trips are not cleared by the round-0
 /// reseed — the fault lives in state the reseed cannot rewrite, e.g. a
-/// corrupted label header — the experiment layer floods a reset from the
-/// audit's suspect set and re-marks the instance instead of reseeding again.
+/// corrupted label header — VerificationService floods a reset from the
+/// audit's suspect set, bills its settle time and re-audits. The wave runs
+/// on its own Simulation<ResetState>: it neither re-marks the instance nor
+/// rewrites the caller's registers, so register damage is still there at
+/// the re-audit.
 std::uint64_t run_reset(const WeightedGraph& g,
                         const std::vector<NodeId>& seeds, bool sync_mode,
                         Rng& daemon, DaemonOrder order = DaemonOrder::kRandom);

@@ -28,7 +28,10 @@ struct StabilizationReport {
   std::uint64_t reset_time = 0;   ///< reset wave settle time
   std::uint64_t build_time = 0;   ///< distributed (re)construction time
   std::uint64_t mark_time = 0;    ///< distributed marker schedule time
-  std::uint64_t verify_quiet_time = 0;  ///< post-check quiet window
+  /// Checking that found nothing to repair: the post-rebuild closure
+  /// probe, or a first detect that ran out of budget without an alarm.
+  /// Not part of total_time.
+  std::uint64_t verify_quiet_time = 0;
   std::uint64_t total_time = 0;
   std::size_t max_state_bits = 0;  ///< across all phases
   std::uint32_t iterations = 0;    ///< transformer loop iterations

@@ -102,14 +102,6 @@ std::size_t aux_duplicate_pending(Simulation<State>& sim,
   return added;
 }
 
-/// Flips the victims' dirty bits without touching any queue — either
-/// direction breaks the queue <-> bitmap invariant that audit() checks.
-template <typename State>
-void aux_flip_enabled_bits(Simulation<State>& sim,
-                           std::span<const NodeId> victims) {
-  for (NodeId v : victims) sim.aux_flip_enabled_bit(v);
-}
-
 /// Overwrites the victims' staleness stamps with `stamp`. Pair with
 /// skewed_stamp() to land strictly ahead of the engine clock — the skew
 /// audit() reports and the kAdversarial daemon mis-sorts on.

@@ -210,7 +210,8 @@ void run_episode(const ServiceConfiguration& cfg, const TenantSpec& spec,
         // Structural damage lives in state the reseed cannot rewrite
         // (e.g. a truncated label header): escalate — flood a reset from
         // the audit's suspect set (the run_reset escalation contract,
-        // selfstab/reset.hpp) and re-audit.
+        // selfstab/reset.hpp) and re-audit. The wave rewrites none of
+        // these registers, so register damage ends in quarantine.
         std::vector<NodeId> seeds(rep.suspects.begin(), rep.suspects.end());
         if (seeds.empty()) seeds = sim.alarmed_nodes();
         std::uint64_t settled = 0;

@@ -145,15 +145,21 @@ class ServiceConfiguration {
 ///     no fault, traffic quiet, final audit clean ............ kHealthy
 ///     fault detected (alarm or audit violation) within the
 ///       deadline (24 * watchdog_budget_for(n) units), and the
-///       repair ladder cleared the damage:
+///       detection audit finds no register damage:
 ///       - aux damage: the watchdog's reseed repair (strike
 ///         ledger of up to 3 detection windows; each expired
 ///         window re-arms at double the budget — exponential
-///         backoff), or
-///       - structural damage: escalation floods run_reset from
-///         the audit's suspect set ........................... kRepaired
-///     detected but damage survives the escalation re-audit,
-///       or undetected once the deadline budget is spent ..... kQuarantined
+///         backoff) rewrites it, or
+///       - the watchdog escalated: escalation floods run_reset
+///         from the audit's suspect set (else the alarmed
+///         nodes; with neither, kQuarantined), bills its settle
+///         time and re-audits ................................ kRepaired
+///     detected with register damage (e.g. a truncated label
+///       header): escalation floods run_reset the same way, but
+///       the wave runs on its own Simulation<ResetState> and
+///       rewrites none of the tenant's registers, so the
+///       re-audit finds the same damage ..................... kQuarantined
+///     undetected once the deadline budget is spent ......... kQuarantined
 ///     episode threw (e.g. kPoison) ......................... kError
 ///
 /// Every terminal state carries a structured TenantReport; no tenant can

@@ -123,13 +123,11 @@ struct AuditReport {
   std::uint64_t time = 0;           ///< stats.time at audit
   std::uint64_t checked_nodes = 0;  ///< nodes swept (== n)
   /// Queue <-> bitmap consistency: enabled_[v] must be set iff v holds
-  /// exactly one pending-queue entry.
+  /// exactly one pending-queue entry. An entry naming no node at all
+  /// counts as queued_not_enabled.
   std::uint32_t enabled_not_queued = 0;   ///< dirty bit set, no queue entry
   std::uint32_t queued_not_enabled = 0;   ///< queue entry, dirty bit clear
   std::uint32_t duplicate_queue_entries = 0;  ///< extra entries per node
-  /// Entries sitting in a shard queue whose CSR range does not contain
-  /// them (the partition must match the shard boundaries).
-  std::uint32_t misplaced_queue_entries = 0;
   /// Staleness stamps claiming activations from the future: last_step_ or
   /// the full-drain floor ahead of the engine clock (modulo the legal
   /// kNever sentinel).
@@ -142,8 +140,7 @@ struct AuditReport {
 
   std::uint64_t total_violations() const {
     return std::uint64_t{enabled_not_queued} + queued_not_enabled +
-           duplicate_queue_entries + misplaced_queue_entries +
-           stamp_violations + register_violations;
+           duplicate_queue_entries + stamp_violations + register_violations;
   }
   bool ok() const { return total_violations() == 0; }
 };
@@ -155,8 +152,9 @@ struct AuditReport {
 /// lane, with boundaries balanced by half-edge count (`compute_shards`).
 /// Without a pool (or with a one-lane pool) there is exactly one shard
 /// holding every node. The serial engine is that one-shard case: it runs
-/// the same sweep, queue and audit code as the sharded engine, minus the
-/// pool dispatch.
+/// the same sweep and drain code as the sharded engine, minus the pool
+/// dispatch. The pending queue, the re-enable marking and the audit do not
+/// depend on the shard layout at all.
 ///
 /// Synchronous semantics: in `sync_round` every node computes its next
 /// state from the *previous* round's registers (lock-step). The round is
@@ -218,11 +216,11 @@ struct AuditReport {
 /// are bit-identical to the one-shard sweep at any thread count. Protocols
 /// driven this way must honour the thread-safety contract in protocol.hpp.
 ///
-/// Sharded asynchronous drains (the parallel async engine): the pending
-/// queue is one queue per shard, so enqueueing, claiming and post-drain
-/// marking touch per-shard structures. With several shards `async_unit`
-/// can also execute the drained unit concurrently, under a determinism
-/// guarantee:
+/// Sharded asynchronous drains (the parallel async engine): there is one
+/// pending queue at every pool width, and enqueueing, claiming and
+/// post-drain marking run on the calling thread. With several shards
+/// `async_unit` can execute the drained unit concurrently, under a
+/// determinism guarantee:
 ///
 ///  * Conflict epochs. Two drained activations commute iff the nodes are
 ///    non-adjacent (a step reads only the closed neighbourhood and writes
@@ -247,11 +245,9 @@ struct AuditReport {
 ///    shard_activations.
 ///  * Re-enable rules are unchanged: both drains end in the same tail,
 ///    which enables exactly the changed nodes' closed neighbourhoods
-///    (sharded across lanes for large change lists — lane s writes only
-///    its own shard's bitmap slice and queue — serially otherwise; dense
-///    change sets take the blanket re-enable). A fault injected *between*
-///    units via state()/mutate lands in the per-shard pending queues and
-///    is drained next unit exactly as in the sequential engine.
+///    (dense change sets take the blanket re-enable). A fault injected
+///    *between* units via state()/mutate lands in the pending queue and is
+///    drained next unit exactly as in the sequential engine.
 ///  * `set_async_drain` picks between kAuto (parallel only when the drain
 ///    is large enough to amortize the barriers) and kParallel (forced).
 ///    Drains that stay on the calling thread — every drain of a one-shard
@@ -280,9 +276,8 @@ struct AuditReport {
 ///    auditor and watchdog exist to bound.
 ///  * Invariant auditor. audit() sweeps the aux state and returns a
 ///    structured AuditReport: queue <-> bitmap consistency (enabled_[v]
-///    iff exactly one queue entry), per-shard queue partition matching the
-///    CSR shard boundaries, staleness stamps (and the full-drain floor)
-///    never ahead of the engine clock, and per-register structural
+///    iff exactly one queue entry), staleness stamps (and the full-drain
+///    floor) never ahead of the engine clock, and per-register structural
 ///    soundness via Protocol::audit_state (label arena offset/length
 ///    bounds). Audits are O(n + pending), allocate only their report, and
 ///    count into SimulationStats::audits / audit_violations.
@@ -303,10 +298,12 @@ struct AuditReport {
 ///    and kWatchdogEscalateAfter (3) consecutive failing trips set
 ///    watchdog_escalated() — the signal that reseeding is not clearing the
 ///    corruption source (e.g. structurally corrupt registers) and the
-///    caller must escalate to the selfstab/reset.hpp run_reset + re-mark
-///    path. The watchdog is off by default (budget 0) and costs one
-///    predictable branch per round/unit when off, so the zero-allocation
-///    and bit-identical-parallel pins are unaffected unless armed.
+///    caller must escalate to something that rewrites those registers,
+///    such as a re-mark (selfstab/reset.hpp says what the service's
+///    escalation runs). The watchdog is off by default (budget 0) and
+///    costs one predictable branch per round/unit when off, so the
+///    zero-allocation and bit-identical-parallel pins are unaffected
+///    unless armed.
 template <typename State>
 class Simulation {
  public:
@@ -335,11 +332,10 @@ class Simulation {
   /// Shards subsequent sync_rounds *and* async drains across `pool` (not
   /// owned; must outlive the simulation or be detached with nullptr).
   /// nullptr restores the one-shard layout. Results are bit-identical
-  /// either way. Safe to call at any time and repeatedly: the shard boundaries
-  /// are recomputed from the CSR degrees on every call, and any pending
-  /// activations are re-bucketed into the new per-shard queues preserving
-  /// the enabled set exactly — attaching or detaching a pool mid-run never
-  /// changes the schedule.
+  /// either way. Safe to call at any time and repeatedly: the shard
+  /// boundaries are recomputed from the CSR degrees on every call, and the
+  /// pending queue does not depend on them — attaching or detaching a pool
+  /// mid-run never changes the schedule.
   void set_thread_pool(ThreadPool* pool) {
     pool_ = pool;
     compute_shards();
@@ -413,11 +409,7 @@ class Simulation {
   /// until a register mutation (or sync round) re-enables something. The
   /// queue-driven daemon's quiescence point.
   bool async_quiescent() const {
-    if (enable_all_pending_) return false;
-    for (const auto& q : queues_) {
-      if (!q.empty()) return false;
-    }
-    return true;
+    return !enable_all_pending_ && pending_.empty();
   }
 
   /// One synchronous round: a single fused sweep that steps every node
@@ -453,10 +445,12 @@ class Simulation {
     // Claim the pending queue (nodes enabled before this unit; nodes
     // enabled mid-unit run next unit — weak fairness).
     take_enabled();
-    discipline(order, rng);
     // Both paths are bit-identical (the sharded-drain contract in the
     // class comment); the switch is purely an execution strategy.
-    if (use_parallel_drain()) {
+    const bool parallel = use_parallel_drain();
+    if (parallel) count_shard_activations();
+    discipline(order, rng);
+    if (parallel) {
       drain_parallel(stamp);
     } else {
       drain_sequential(stamp);
@@ -543,7 +537,7 @@ class Simulation {
   }
   /// True once kWatchdogEscalateAfter consecutive watchdog trips found audit
   /// violations: the reseed repair is not clearing the corruption source
-  /// and the caller must escalate (run_reset + re-mark). Sticky until the
+  /// and the caller must escalate (class comment). Sticky until the
   /// watchdog is re-armed.
   bool watchdog_escalated() const { return watchdog_escalated_; }
   /// Report of the most recent watchdog-trip audit (valid after the first
@@ -566,16 +560,15 @@ class Simulation {
   /// Flips v's dirty bit without touching any queue (either direction
   /// breaks the queue <-> bitmap invariant; audit() reports it).
   void aux_flip_enabled_bit(NodeId v) { enabled_[v] ^= 1; }
-  /// Removes one pending-queue entry for v from its shard's queue.
-  /// clear_bit=true also clears the dirty bit — the *consistent* drop
-  /// that no local invariant can see (the starvation fault the watchdog's
-  /// fairness floor exists for); clear_bit=false leaves the bit set, an
-  /// auditable inconsistency. Returns whether an entry was removed.
+  /// Removes one pending-queue entry for v. clear_bit=true also clears the
+  /// dirty bit — the *consistent* drop that no local invariant can see
+  /// (the starvation fault the watchdog's fairness floor exists for);
+  /// clear_bit=false leaves the bit set, an auditable inconsistency.
+  /// Returns whether an entry was removed.
   bool aux_drop_pending(NodeId v, bool clear_bit) {
-    auto& q = queues_[node_shard_[v]];
-    const auto it = std::find(q.begin(), q.end(), v);
-    if (it == q.end()) return false;
-    q.erase(it);
+    const auto it = std::find(pending_.begin(), pending_.end(), v);
+    if (it == pending_.end()) return false;
+    pending_.erase(it);
     if (clear_bit) enabled_[v] = 0;
     return true;
   }
@@ -584,7 +577,7 @@ class Simulation {
   /// one unit). Returns false when v is not currently queued.
   bool aux_duplicate_pending(NodeId v) {
     if (!enabled_[v]) return false;
-    queues_[node_shard_[v]].push_back(v);
+    pending_.push_back(v);
     return true;
   }
   /// Consistent drop of the ENTIRE pending set: clears the blanket
@@ -598,11 +591,9 @@ class Simulation {
       enable_all_pending_ = false;
       dropped += g_->n();
     }
-    for (auto& q : queues_) {
-      for (NodeId v : q) enabled_[v] = 0;
-      dropped += q.size();
-      q.clear();
-    }
+    for (NodeId v : pending_) enabled_[v] = 0;
+    dropped += pending_.size();
+    pending_.clear();
     return dropped;
   }
   /// Overwrites v's staleness stamp (a value ahead of the engine clock —
@@ -615,13 +606,12 @@ class Simulation {
   /// or all n under a pending blanket re-enable. Diagnostic/experiment
   /// helper — allocates; not for hot paths.
   std::vector<NodeId> pending_nodes() const {
-    std::vector<NodeId> out;
     if (enable_all_pending_) {
-      out.resize(g_->n());
-      std::iota(out.begin(), out.end(), NodeId{0});
-      return out;
+      std::vector<NodeId> all(g_->n());
+      std::iota(all.begin(), all.end(), NodeId{0});
+      return all;
     }
-    for (const auto& q : queues_) out.insert(out.end(), q.begin(), q.end());
+    std::vector<NodeId> out = pending_;
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -652,10 +642,7 @@ class Simulation {
   /// cost), derived from the CSR degrees. One shard without a pool (or with
   /// a one-lane pool). Called from the constructor and from every
   /// set_thread_pool, so the boundaries never depend on call order relative
-  /// to other setup. Also rebuilds the node -> shard lookup and re-buckets
-  /// any pending activations into the new per-shard queues, preserving the
-  /// enabled set exactly — changing the pool mid-run never changes the
-  /// async schedule.
+  /// to other setup.
   void compute_shards() {
     const NodeId n = g_->n();
     const std::uint32_t shards =
@@ -675,25 +662,11 @@ class Simulation {
       }
     }
     shard_starts_.push_back(n);
-    node_shard_.resize(n);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      std::fill(node_shard_.begin() + shard_starts_[s],
-                node_shard_.begin() + shard_starts_[s + 1],
-                static_cast<std::uint16_t>(s));
-    }
     shard_accs_.assign(shards, SweepAcc{});
-    // Re-bucket pending activations into the new layout (bits stay set, so
-    // no enqueue checks).
-    std::vector<NodeId> pending;
-    for (const auto& q : queues_) {
-      pending.insert(pending.end(), q.begin(), q.end());
-    }
-    queues_.assign(shards, {});
-    for (NodeId v : pending) queues_[node_shard_[v]].push_back(v);
   }
 
   std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(queues_.size());
+    return static_cast<std::uint32_t>(shard_starts_.size() - 1);
   }
 
   /// Runs fn(s) for every shard s: directly on the calling thread when
@@ -717,74 +690,47 @@ class Simulation {
                                    full_drain_stamp_ + 1);
   }
 
-  /// Adds v to its shard's pending queue unless it is already there. O(1).
+  /// Adds v to the pending queue unless it is already there. O(1).
   void enqueue(NodeId v) {
     if (!enabled_[v]) {
       enabled_[v] = 1;
-      queues_[node_shard_[v]].push_back(v);
+      pending_.push_back(v);
     }
   }
 
-  /// Claims the enabled set into drain_ (ascending node order) and clears
-  /// the pending queues. A blanket re-enable materializes as a full iota;
-  /// otherwise every shard claims its own queue (claim_shard) and the
-  /// claimed queues are concatenated in shard order. Each queue holds only
-  /// its shard's (contiguous CSR range) nodes, so the concatenation is the
-  /// canonical ascending base order the disciplines build on — whether
-  /// the shards were claimed in a loop on the calling thread or, for a
-  /// large claim, on the pool.
+  /// Claims the enabled set into drain_ in ascending node order — the
+  /// canonical base order the disciplines build on — and clears the
+  /// pending queue and its dirty bits. A blanket re-enable materializes as
+  /// a full iota. A dense queue is claimed by a bitmap scan, which yields
+  /// the set bits in ascending order without a sort; drain_ grows by
+  /// push_back because corrupted bookkeeping can leave more bits set than
+  /// the queue holds entries. A sparse queue is sorted.
   void take_enabled() {
     if (enable_all_pending_) {
       enable_all_pending_ = false;
       // enabled_[v] is set iff v is queued, so clearing the queued bits
       // restores the all-clear invariant in O(pending), not O(n) — in
-      // dense steady state the queues are empty and this is free.
-      for (auto& q : queues_) {
-        for (NodeId v : q) enabled_[v] = 0;
-        q.clear();
-      }
+      // dense steady state the queue is empty and this is free.
+      for (NodeId v : pending_) enabled_[v] = 0;
+      pending_.clear();
       drain_.resize(g_->n());
       std::iota(drain_.begin(), drain_.end(), NodeId{0});
       return;
     }
-    std::size_t pending = 0;
-    for (const auto& q : queues_) pending += q.size();
-    claim_dense_ = pending * 16 >= g_->n();
-    if (shard_count() > 1 && (async_drain_ == AsyncDrain::kParallel ||
-                              pending >= kParallelTakeMin)) {
-      pool_->run(shard_count(), [this](std::uint32_t s) { claim_shard(s); });
-    } else {
-      for (std::uint32_t s = 0; s < shard_count(); ++s) claim_shard(s);
-    }
     drain_.clear();
-    for (auto& q : queues_) {
-      drain_.insert(drain_.end(), q.begin(), q.end());
-      q.clear();
-    }
-  }
-
-  /// Claims shard s: leaves its enabled nodes in queues_[s], ascending,
-  /// with their dirty bits cleared. A dense claim rebuilds the queue from
-  /// a bitmap scan of the shard's range (already ascending; the queue
-  /// contents equal the set bits, so the old entries are dropped); a
-  /// sparse one sorts the queue. Touches only shard s's queue and bitmap
-  /// slice, so distinct shards may claim concurrently.
-  void claim_shard(std::uint32_t s) {
-    auto& q = queues_[s];
-    if (claim_dense_) {
-      q.clear();
-      for (NodeId v = shard_starts_[s]; v < shard_starts_[s + 1]; ++v) {
+    if (pending_.size() * 16 >= g_->n()) {
+      for (NodeId v = 0; v < g_->n(); ++v) {
         if (enabled_[v]) {
           enabled_[v] = 0;
-          // ssmst-lint: allow(R1): q aliases a member shard queue that
-          // held at least as many entries before this claim.
-          q.push_back(v);
+          drain_.push_back(v);
         }
       }
     } else {
-      std::sort(q.begin(), q.end());
-      for (NodeId v : q) enabled_[v] = 0;
+      std::sort(pending_.begin(), pending_.end());
+      for (NodeId v : pending_) enabled_[v] = 0;
+      drain_.assign(pending_.begin(), pending_.end());
     }
+    pending_.clear();
   }
 
   /// Applies the daemon discipline to the ascending drain_. Starting from
@@ -811,6 +757,21 @@ class Simulation {
           return sa != sb ? sa < sb : a < b;
         });
         break;
+    }
+  }
+
+  /// Adds the claimed drain to shard_activations, shard by shard. Runs
+  /// before the discipline reorders drain_: the claim is ascending, so each
+  /// shard's nodes form one run, found by one binary search per boundary.
+  void count_shard_activations() {
+    if (stats_.shard_activations.size() != shard_count()) {
+      stats_.shard_activations.assign(shard_count(), 0);
+    }
+    auto lo = drain_.begin();
+    for (std::uint32_t s = 0; s < shard_count(); ++s) {
+      const auto hi = std::lower_bound(lo, drain_.end(), shard_starts_[s + 1]);
+      stats_.shard_activations[s] += static_cast<std::uint64_t>(hi - lo);
+      lo = hi;
     }
   }
 
@@ -881,7 +842,7 @@ class Simulation {
   /// count for every discipline.
   __attribute__((noinline)) void drain_parallel(std::uint64_t stamp) {
     const std::uint32_t shards = shard_count();
-    ensure_parallel_scratch(shards);
+    ensure_parallel_scratch();
     const bool forced = async_drain_ == AsyncDrain::kParallel;
 
     // --- 1. Conflict classification, serial, in discipline order. ---
@@ -907,7 +868,6 @@ class Simulation {
       drain_epoch_[v] = e;
       if (e >= epoch_counts_.size()) epoch_counts_.resize(e + 1, 0);
       ++epoch_counts_[e];
-      ++stats_.shard_activations[node_shard_[v]];
     }
     stats_.cross_shard_deferrals += drain_.size() - epoch_counts_[0];
 
@@ -1001,51 +961,15 @@ class Simulation {
   /// the blanket re-enable — the next unit is a full sweep either way, and
   /// skipping the per-neighbourhood bit traffic keeps full-activity units
   /// cheap. A sparse one marks exact closed neighbourhoods so activity can
-  /// collapse to quiescence: shard-parallel for a large list (or a forced
-  /// parallel drain), serially otherwise.
+  /// collapse to quiescence.
   void finish_drain(std::size_t listed, std::uint64_t changed_n) {
     stats_.activations += drain_.size();
     stats_.effective_steps += changed_n;
     if (changed_n >= dense_cut()) {
       enable_all_pending_ = true;
-    } else if (shard_count() > 1 && listed > 0 &&
-               (async_drain_ == AsyncDrain::kParallel ||
-                listed >= kParallelMarkMin)) {
-      mark_sharded(listed);
     } else {
       mark_dirty(std::span<const NodeId>(changed_.data(), listed));
     }
-  }
-
-  /// Marks the closed neighbourhoods of changed_[0, listed) on the pool,
-  /// one lane per shard: lane s writes only its own shard's bitmap slice
-  /// and queue, in changed-list order, so every queue ends up exactly as
-  /// serial marking leaves it.
-  __attribute__((noinline)) void mark_sharded(std::size_t listed) {
-    mark_count_ = listed;
-    pool_->run(shard_count(), [this](std::uint32_t s) {
-      const NodeId lo = shard_starts_[s];
-      const NodeId hi = shard_starts_[s + 1];
-      auto& q = queues_[s];
-      for (std::size_t i = 0; i < mark_count_; ++i) {
-        const NodeId c = changed_[i];
-        if (c >= lo && c < hi && !enabled_[c]) {
-          enabled_[c] = 1;
-          // ssmst-lint: allow(R1): q aliases a member shard queue;
-          // capacity is warm after the first mark pass.
-          q.push_back(c);
-        }
-        for (const HalfEdge& he : g_->neighbors(c)) {
-          const NodeId u = he.to;
-          if (u >= lo && u < hi && !enabled_[u]) {
-            enabled_[u] = 1;
-            // ssmst-lint: allow(R1): q aliases a member shard queue;
-            // capacity is warm after the first mark pass.
-            q.push_back(u);
-          }
-        }
-      }
-    });
   }
 
   /// Steps epoch_order_[lo, hi) against the current registers. Within one
@@ -1063,17 +987,14 @@ class Simulation {
     }
   }
 
-  /// Sizes the parallel-drain scratch for the current graph/layout; no-op
-  /// (and allocation-free) once warm.
-  void ensure_parallel_scratch(std::uint32_t shards) {
+  /// Sizes the parallel-drain scratch for the current graph; no-op (and
+  /// allocation-free) once warm.
+  void ensure_parallel_scratch() {
     if (drain_gen_.size() != regs_.size()) {
       drain_gen_.assign(regs_.size(), 0);
       drain_epoch_.assign(regs_.size(), 0);
       changed_mark_.assign(regs_.size(), 0);
       drain_gen_ctr_ = 0;
-    }
-    if (stats_.shard_activations.size() != shards) {
-      stats_.shard_activations.assign(shards, 0);
     }
   }
 
@@ -1153,7 +1074,7 @@ class Simulation {
   }
 
   /// The audit sweep behind audit()/audit_into (class comment: queue <->
-  /// bitmap, shard partition, stamp and register invariants).
+  /// bitmap, stamp and register invariants).
   /// Scratch is the lazily sized audit_seen_ member; the caller's report
   /// is the only allocation.
   __attribute__((noinline)) void run_audit(AuditReport& r) {
@@ -1169,24 +1090,18 @@ class Simulation {
         r.suspects.push_back(v);
       }
     };
-    for (std::size_t s = 0; s < queues_.size(); ++s) {
-      for (NodeId v : queues_[s]) {
-        if (v >= n) {  // defensive: a corrupted entry must not index OOB
-          ++r.misplaced_queue_entries;
-          continue;
-        }
-        if (node_shard_[v] != s) {
-          ++r.misplaced_queue_entries;
-          suspect(v);
-        }
-        if (audit_seen_[v]++ != 0) {
-          ++r.duplicate_queue_entries;
-          suspect(v);
-        }
-        if (!enabled_[v]) {
-          ++r.queued_not_enabled;
-          suspect(v);
-        }
+    for (NodeId v : pending_) {
+      if (v >= n) {  // defensive: a corrupted entry must not index OOB
+        ++r.queued_not_enabled;
+        continue;
+      }
+      if (audit_seen_[v]++ != 0) {
+        ++r.duplicate_queue_entries;
+        suspect(v);
+      }
+      if (!enabled_[v]) {
+        ++r.queued_not_enabled;
+        suspect(v);
       }
     }
     const bool clock32_valid = stats_.time < kNever32;
@@ -1241,7 +1156,7 @@ class Simulation {
     // bare blanket re-enable), staleness history erased.
     enable_all_pending_ = true;
     std::fill(enabled_.begin(), enabled_.end(), 0);
-    for (auto& q : queues_) q.clear();
+    pending_.clear();
     std::fill(last_step_.begin(), last_step_.end(), kNever32);
     full_drain_stamp_ = kNever32;
     ++stats_.repairs;
@@ -1261,12 +1176,7 @@ class Simulation {
 
   // Activation-queue state (see the class comment for the contract).
   std::vector<std::uint8_t> enabled_;   ///< dirty bitmap: node is pending
-  /// Pending activations, one queue per shard. Each queue holds only nodes
-  /// of its shard's contiguous CSR range, so shard-order concatenation of
-  /// sorted queues is the canonical ascending drain.
-  std::vector<std::vector<NodeId>> queues_;
-  bool claim_dense_ = false;  ///< take_enabled context: scan the bitmap
-  std::vector<std::uint16_t> node_shard_;  ///< node -> shard
+  std::vector<NodeId> pending_;         ///< enabled nodes, unordered
   std::vector<NodeId> drain_;           ///< the unit in flight / last unit
   std::vector<NodeId> changed_;         ///< register-changing steps, per unit
   /// Unit of each node's last *sparse* activation, truncated to 32 bits
@@ -1294,8 +1204,6 @@ class Simulation {
   static constexpr std::size_t kAutoParallelDrainMin = 1024;
   static constexpr std::uint32_t kInlineEpochMax = 32;
   static constexpr std::uint32_t kEpochGrain = 16;
-  static constexpr std::size_t kParallelTakeMin = 4096;
-  static constexpr std::size_t kParallelMarkMin = 2048;
   /// Classification scratch, all n-sized and allocated lazily by the
   /// first parallel drain (sequential-only sims never pay for them).
   std::vector<std::uint32_t> drain_gen_;    ///< tag: drained this unit
@@ -1310,7 +1218,6 @@ class Simulation {
   std::uint32_t ep_stamp32_ = 0;     ///< truncated unit stamp
   bool ep_partial_ = false;          ///< partial drain: store last_step_
   std::size_t acc_chunk_ = 0;        ///< accounting chunk length
-  std::size_t mark_count_ = 0;       ///< changed-list length for marking
 
   // Invariant auditor + watchdog (total-state fault model; class comment).
   std::vector<std::uint8_t> audit_seen_;  ///< per-node queue-entry counts

@@ -171,9 +171,9 @@ TEST(AllocFree, SteadyStateAsyncUnitsAllocateNothing) {
 
 TEST(AllocFree, SteadyStateParallelAsyncUnitsAllocateNothing) {
   // The sharded drain adds conflict classification, epoch execution on the
-  // pool, chunked accounting and sharded marking — all of which must run
-  // in scratch sized once by the first parallel drain, with every pool
-  // closure inside std::function's inline buffer. kParallel forces the
+  // pool and chunked accounting — all of which must run in scratch sized
+  // once by the first parallel drain, with every pool closure inside
+  // std::function's inline buffer. kParallel forces the
   // sharded path (the graph is below the kAuto cutover).
   Rng rng(10);
   auto g = gen::random_connected(192, 96, rng);

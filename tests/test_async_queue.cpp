@@ -16,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <span>
 #include <string>
+#include <tuple>
 
 #include "full_sweep.hpp"
 #include "graph/generators.hpp"
@@ -373,8 +375,8 @@ bool kkp_equal(const KkpState& x, const KkpState& y) {
 // discipline (including kRandom: both sides are queue engines with
 // identical enabled sets, so they consume daemon randomness identically
 // forever) across 1/2/4/7 threads. AsyncDrain::kParallel forces the
-// sharded path even on these small graphs so real cross-thread stepping,
-// sharded claiming and sharded marking are exercised (and seen by TSan).
+// sharded path even on these small graphs so real cross-thread stepping
+// is exercised (and seen by TSan).
 TEST(ShardedDrain, ParallelMatchesSequentialPerUnit) {
   for (const auto& [name, g] : small_suite(36, 44)) {
     for (unsigned threads : {1u, 2u, 4u, 7u}) {
@@ -447,9 +449,9 @@ TEST(ShardedDrain, ParallelMatchesSequentialPerUnit) {
 }
 
 // A register mutation between units — a fault — must re-enable its closed
-// neighbourhood in the *sharded* queues exactly as in the sequential
-// engine: same wake-up, same verdict, same alarmed set, same activation
-// count. The parallel side injects through the batch span overload, the
+// neighbourhood on a sharded engine exactly as in the sequential engine:
+// same wake-up, same verdict, same alarmed set, same activation count.
+// The parallel side injects through the batch span overload, the
 // sequential side through per-victim state(v) corruption, so this also
 // pins that the one-pass batch marking produces the identical schedule.
 TEST(ShardedDrain, KkpVerdictParityWithBatchInjection) {
@@ -496,9 +498,10 @@ TEST(ShardedDrain, KkpVerdictParityWithBatchInjection) {
 }
 
 // Weak fairness survives the sharded path: nodes whose registers change
-// mid-unit (their own step) are re-enabled for the next unit through the
-// sharded marking, so the hot-node chain propagates exactly one hop per
-// unit — same pin as the sequential fairness test above, forced parallel.
+// mid-unit (their own step) are re-enabled for the next unit by the
+// drain's marking tail, so the hot-node chain propagates exactly one hop
+// per unit — same pin as the sequential fairness test above, forced
+// parallel.
 TEST(ShardedDrain, WeakFairnessHoldsUnderParallelDrain) {
   Rng rng(50);
   auto g = gen::path(6, rng);
@@ -523,9 +526,9 @@ TEST(ShardedDrain, WeakFairnessHoldsUnderParallelDrain) {
   EXPECT_GT(sim.stats().cross_shard_deferrals, 0u);
 }
 
-// Attaching or detaching the pool mid-run re-buckets the pending queues
-// without changing the enabled set: the schedule and all registers stay
-// identical to a run that never switched.
+// Attaching or detaching the pool mid-run changes the shard layout but not
+// the pending queue: the schedule and all registers stay identical to a
+// run that never switched.
 TEST(ShardedDrain, PoolSwitchMidRunPreservesSchedule) {
   Rng grng(46);
   auto g = gen::random_connected(48, 96, grng);
@@ -542,17 +545,16 @@ TEST(ShardedDrain, PoolSwitchMidRunPreservesSchedule) {
     }
   };
   step_both(3);
-  // Fault lands in the single-queue layout...
+  // Fault lands in the pending queue of a one-shard engine...
   auto va = inject_faults<KkpState>(pa, a, 3, fa);
   auto vb = inject_faults<KkpState>(pb, b, 3, fb);
   ASSERT_EQ(va, vb);
-  // ...then the pool is attached mid-episode: pending activations are
-  // re-bucketed into per-shard queues, and the forced parallel drain must
-  // continue the exact sequential schedule.
+  // ...then the pool is attached mid-episode, and the forced parallel
+  // drain must continue the exact sequential schedule.
   b.set_thread_pool(&pool);
   b.set_async_drain(AsyncDrain::kParallel);
   step_both(4);
-  // And detached again, re-merging the shard queues into one.
+  // And detached again, back to one shard.
   b.set_thread_pool(nullptr);
   step_both(4);
   for (NodeId v = 0; v < g.n(); ++v) {
@@ -614,6 +616,97 @@ TEST(ShardedDrain, ShardActivationsSurvivePoolReattach) {
                             std::uint64_t{0}),
             sum)
       << "a changed layout must restart attribution from zero";
+}
+
+// Stray dirty bits — set with no pending-queue entry, the aux fault
+// Simulation::aux_flip_enabled_bit models — are claimed by the dense
+// bitmap scan together with the queued nodes, so that claim hands the
+// drain more nodes than the queue held. The scan is taken when the queue
+// itself holds at least n/16 entries; a fault storm provides them, then
+// every other node outside the queue gets a stray bit. Every width must
+// claim, step and account the stray nodes identically and leave the same
+// bookkeeping behind (the scan clears the bits it claims).
+TEST(ShardedDrain, StrayDirtyBitsThroughTheDenseClaimMatchAcrossWidths) {
+  Rng grng(54);
+  auto g = gen::random_connected(96, 48, grng);
+  auto marker = make_labels(g);
+  struct Outcome {
+    std::vector<KkpState> regs;
+    SimulationStats stats;
+    AuditReport before;
+    AuditReport after;
+  };
+  auto run = [&](unsigned threads, DaemonOrder order, Outcome& out) {
+    KkpVerifierProtocol proto(g);
+    ThreadPool pool(threads);  // declared first: must outlive the sim
+    Simulation<KkpState> sim(g, proto, proto.initial_states(marker), &pool);
+    sim.set_async_drain(AsyncDrain::kParallel);
+    Rng daemon(55);
+    for (int u = 0; u < 4; ++u) sim.async_unit(daemon, order);
+    ASSERT_TRUE(sim.async_quiescent());
+    Rng frng(56);
+    inject_faults<KkpState>(proto, sim, 3, frng);
+    const auto queued = sim.pending_nodes();
+    ASSERT_GE(queued.size() * 16, g.n()) << "the claim must take the scan";
+    std::vector<NodeId> stray;
+    for (NodeId v = 0; v < g.n(); v += 2) {
+      if (!std::binary_search(queued.begin(), queued.end(), v)) {
+        stray.push_back(v);
+      }
+    }
+    ASSERT_FALSE(stray.empty());
+    for (NodeId v : stray) sim.aux_flip_enabled_bit(v);
+    out.before = sim.audit();
+    ASSERT_EQ(out.before.enabled_not_queued, stray.size());
+    const std::uint64_t acts = sim.stats().activations;
+    sim.async_unit(daemon, order);
+    ASSERT_EQ(sim.stats().activations - acts, queued.size() + stray.size())
+        << "the scan drains every set bit, queued or stray";
+    for (int u = 0; u < 8; ++u) sim.async_unit(daemon, order);
+    out.after = sim.audit();
+    EXPECT_EQ(out.after.enabled_not_queued, 0u);
+    out.stats = sim.stats();
+    for (NodeId v = 0; v < g.n(); ++v) out.regs.push_back(sim.cstate(v));
+  };
+  auto audit_fields = [](const AuditReport& r) {
+    return std::tuple(r.time, r.checked_nodes, r.enabled_not_queued,
+                      r.queued_not_enabled, r.duplicate_queue_entries,
+                      r.stamp_violations, r.register_violations, r.suspects);
+  };
+  for (DaemonOrder order : {DaemonOrder::kRandom, DaemonOrder::kAdversarial}) {
+    Outcome ref;
+    run(1, order, ref);
+    if (HasFatalFailure()) return;
+    std::uint64_t deferrals = 0;  // of the first parallel width
+    for (unsigned threads : {2u, 4u}) {
+      const std::string tag = "t" + std::to_string(threads) + "/order " +
+                              std::to_string(static_cast<int>(order));
+      Outcome got;
+      run(threads, order, got);
+      if (HasFatalFailure()) return;
+      for (NodeId v = 0; v < g.n(); ++v) {
+        ASSERT_TRUE(kkp_equal(ref.regs[v], got.regs[v]))
+            << tag << " node " << v;
+      }
+      // Only the parallel-drain counters differ from the one-shard run.
+      // Deferrals depend on the discipline order and the graph alone, and
+      // every unit went through the forced parallel drain, so the
+      // per-shard counts sum to the activations.
+      if (threads == 2) deferrals = got.stats.cross_shard_deferrals;
+      EXPECT_EQ(got.stats.cross_shard_deferrals, deferrals) << tag;
+      const auto& per_shard = got.stats.shard_activations;
+      EXPECT_EQ(per_shard.size(), threads) << tag;
+      EXPECT_EQ(std::accumulate(per_shard.begin(), per_shard.end(),
+                                std::uint64_t{0}),
+                got.stats.activations)
+          << tag;
+      got.stats.shard_activations = ref.stats.shard_activations;
+      got.stats.cross_shard_deferrals = ref.stats.cross_shard_deferrals;
+      EXPECT_EQ(got.stats, ref.stats) << tag;
+      EXPECT_EQ(audit_fields(got.before), audit_fields(ref.before)) << tag;
+      EXPECT_EQ(audit_fields(got.after), audit_fields(ref.after)) << tag;
+    }
+  }
 }
 
 }  // namespace

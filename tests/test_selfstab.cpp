@@ -200,7 +200,7 @@ TEST(Transformer, ReportsPinned) {
       {CheckerKind::kKkpVerifier, false,
        "11 d=1 r=2 b=621 m=704 q=64 t=1328 bits=230 it=1",
        "11 d=1 r=4 b=621 m=704 q=64 t=1330 bits=230 it=1",
-       "11 d=8 r=0 b=0 m=0 q=0 t=8 bits=229 it=0"},
+       "11 d=0 r=0 b=0 m=0 q=8 t=0 bits=229 it=0"},
       {CheckerKind::kRecompute, true,
        "11 d=621 r=2 b=621 m=704 q=0 t=1948 bits=99 it=1",
        "11 d=621 r=5 b=621 m=704 q=0 t=1951 bits=99 it=1",

@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
-# Interleaved A/B of one perfbench workload between two git revisions.
+# Interleaved A/B of one perfbench workload, or of a set of bench_micro
+# benchmarks, between two git revisions.
 #
 # Usage: tools/ab.sh <base-rev> <change-rev> <workload> [pairs] [seconds]
 #                    [seed]
 #
 #   base-rev, change-rev  any git revisions, e.g. HEAD~1 HEAD
-#   workload              pipeline | train-detect | kkp-storm | fleet
+#   workload              pipeline | train-detect | kkp-storm | fleet,
+#                         or micro:<regex> for bench_micro (below)
 #   pairs                 interleaved run pairs          (default: 10)
-#   seconds               perfbench --seconds per run    (default: 2)
-#   seed                  perfbench --seed for every run (default: 1)
+#   seconds               perfbench --seconds per run    (default: 2);
+#                         bench_micro --benchmark_min_time in micro mode
+#   seed                  perfbench --seed for every run (default: 1);
+#                         unused in micro mode
 #
 # Both revisions are exported with `git archive` into a temporary
 # directory. Each side builds its own perfbench through its own
@@ -20,6 +24,18 @@
 # different `simulated digest` lines. It prints, for every end-to-end
 # metric in the change side's BENCHMARK.json, each side's median and
 # quartiles and the number of pairs the change won.
+#
+# micro:<regex> configures each export's root CMake project in Release and
+# builds only bench_micro. Each run executes the benchmarks whose names
+# match <regex> (--benchmark_filter) once, with --benchmark_min_time set
+# to `seconds` (benchmarks with a fixed iteration count ignore it); pairs
+# alternate which side goes first, as above. The script fails if a
+# benchmark errors, if no benchmark matches on both sides, or if a
+# workload counter differs between the two sides of a pair that ran the
+# same number of iterations. A workload counter is any user counter whose
+# name does not end in "/s" or "_per_second", such as activations/unit.
+# It prints each benchmark's real time per iteration: each side's median
+# and quartiles, and the number of pairs the change won.
 set -euo pipefail
 
 usage="usage: tools/ab.sh <base-rev> <change-rev> <workload> [pairs]"
@@ -31,8 +47,10 @@ pairs=${4:-10}
 seconds=${5:-2}
 seed=${6:-1}
 
+micro_filter=
 case "$workload" in
   pipeline | train-detect | kkp-storm | fleet) ;;
+  micro:?*) micro_filter=${workload#micro:} ;;
   *) echo "ab.sh: unknown workload '$workload'" >&2; exit 2 ;;
 esac
 if ! [[ $pairs =~ ^[1-9][0-9]*$ && $seconds =~ ^[1-9][0-9]*$ ]]; then
@@ -57,6 +75,123 @@ for side in base change; do
   mkdir -p "$tmp/$side"
   git -C "$repo" archive "$sha" | tar -x -C "$tmp/$side"
 done
+
+if [ -n "$micro_filter" ]; then
+  for side in base change; do
+    echo "building bench_micro for $side" >&2
+    if ! { cmake -S "$tmp/$side" -B "$tmp/$side-build" \
+      -DCMAKE_BUILD_TYPE=Release &&
+      cmake --build "$tmp/$side-build" --target bench_micro \
+        -j "$(nproc)"; } >"$tmp/$side-build.log" 2>&1; then
+      tail -n 20 "$tmp/$side-build.log" >&2
+      echo "ab.sh: $side bench_micro build failed" >&2
+      exit 1
+    fi
+  done
+  for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2 == 1)); then order=(base change); else order=(change base); fi
+    for side in "${order[@]}"; do
+      if ! "$tmp/$side-build/bench_micro" --benchmark_filter="$micro_filter" \
+        --benchmark_min_time="$seconds" --benchmark_out="$tmp/$side.$i" \
+        --benchmark_out_format=json >/dev/null 2>"$tmp/$side.$i.err"; then
+        cat "$tmp/$side.$i.err" >&2
+        echo "ab.sh: $side bench_micro run $i failed" >&2
+        exit 1
+      fi
+    done
+    echo "pair $i/$pairs done" >&2
+  done
+  echo "$workload: $pairs pairs at --benchmark_min_time $seconds," \
+    "base ${base_sha:0:12}, change ${change_sha:0:12}"
+  python3 - "$tmp" "$pairs" <<'EOF'
+import json
+import os
+import statistics
+import sys
+
+tmp, pairs = sys.argv[1], int(sys.argv[2])
+STANDARD = {"name", "family_index", "per_family_instance_index", "run_name",
+            "run_type", "repetitions", "repetition_index", "threads",
+            "iterations", "real_time", "cpu_time", "time_unit",
+            "aggregate_name", "aggregate_unit", "label", "error_occurred",
+            "error_message"}
+
+
+def load(side, i):
+    with open(os.path.join(tmp, "%s.%d" % (side, i))) as f:
+        rows = json.load(f)["benchmarks"]
+    out = {}
+    for b in rows:
+        if b.get("error_occurred"):
+            sys.exit("ab.sh: %s %s errored: %s"
+                     % (side, b["name"], b.get("error_message")))
+        if b.get("run_type", "iteration") == "iteration":
+            out[b["name"]] = b
+    return out
+
+
+def workload_counters(b):
+    return {k: v for k, v in b.items()
+            if k not in STANDARD and isinstance(v, (int, float))
+            and not k.endswith("/s") and not k.endswith("_per_second")}
+
+
+runs = {s: [load(s, i) for i in range(1, pairs + 1)]
+        for s in ("base", "change")}
+names = [n for n in runs["base"][0] if n in runs["change"][0]]
+if not names:
+    sys.exit("ab.sh: no benchmark matched on both sides")
+for side, other in (("base", "change"), ("change", "base")):
+    for n in runs[side][0]:
+        if n not in runs[other][0]:
+            print("ab.sh: %s runs only on the %s side; skipped" % (n, side),
+                  file=sys.stderr)
+
+bad = []
+for i in range(pairs):
+    for n in names:
+        b, c = runs["base"][i][n], runs["change"][i][n]
+        if b["iterations"] != c["iterations"]:
+            continue
+        wb, wc = workload_counters(b), workload_counters(c)
+        for k in sorted(set(wb) | set(wc)):
+            x, y = wb.get(k), wc.get(k)
+            if x is None or y is None or \
+                    abs(x - y) > 1e-9 * max(abs(x), abs(y), 1):
+                bad.append("pair %d %s %s: base %s, change %s"
+                           % (i + 1, n, k, x, y))
+if bad:
+    print("ab.sh: workload counters differ", file=sys.stderr)
+    for line in bad:
+        print("  " + line, file=sys.stderr)
+    sys.exit(1)
+
+
+def summary(xs):
+    if len(xs) < 2:
+        return "%.4g [%.4g, %.4g]" % (xs[0], xs[0], xs[0])
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return "%.4g [%.4g, %.4g]" % (med, q1, q3)
+
+
+width = max(len(n) for n in names)
+print("%-*s %-4s %-30s %-30s %s" % (width, "benchmark (real time)", "unit",
+                                    "base median [q1, q3]",
+                                    "change median [q1, q3]", "change wins"))
+for n in names:
+    b = [r[n]["real_time"] for r in runs["base"]]
+    c = [r[n]["real_time"] for r in runs["change"]]
+    wins = sum(y < x for x, y in zip(b, c))
+    print("%-*s %-4s %-30s %-30s %d/%d"
+          % (width, n, runs["base"][0][n]["time_unit"], summary(b),
+             summary(c), wins, pairs))
+    counters = workload_counters(runs["base"][0][n])
+    if counters:
+        print("  workload: " + ", ".join("%s %.6g" % kv
+                                         for kv in sorted(counters.items())))
+EOF
+  exit 0
+fi
 
 # run_side <side> <out-file>: one perfbench run of that side's checkout.
 # Stdout goes to the file; the last line must be a correct, unfailed run.
