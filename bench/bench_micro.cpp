@@ -44,6 +44,10 @@ void BM_ReferenceHierarchy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReferenceHierarchy)->Arg(256)->Arg(1024);
+// The 2^17 rows are DRAM-bound, the regime perfbench's pipeline marks in;
+// `tools/ab.sh <base> <change> 'micro:BM_FullMarker/131072'` A/Bs the
+// marker alone there.
+BENCHMARK(BM_ReferenceHierarchy)->Arg(1 << 17)->Unit(benchmark::kMillisecond);
 
 void BM_FullMarker(benchmark::State& state) {
   const auto& g = test_graph(static_cast<NodeId>(state.range(0)));
@@ -52,6 +56,7 @@ void BM_FullMarker(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullMarker)->Arg(256)->Arg(1024);
+BENCHMARK(BM_FullMarker)->Arg(1 << 17)->Unit(benchmark::kMillisecond);
 
 void BM_SyncMstFullRun(benchmark::State& state) {
   const auto& g = test_graph(static_cast<NodeId>(state.range(0)));

@@ -2,11 +2,23 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
 namespace ssmst {
+
+namespace {
+
+/// The (id, node) pairs sorted by id: node_of_id's search index.
+std::vector<std::pair<std::uint64_t, NodeId>> sorted_id_index(
+    const std::vector<std::uint64_t>& ids) {
+  std::vector<std::pair<std::uint64_t, NodeId>> index(ids.size());
+  for (NodeId v = 0; v < ids.size(); ++v) index[v] = {ids[v], v};
+  std::sort(index.begin(), index.end());
+  return index;
+}
+
+}  // namespace
 
 WeightedGraph WeightedGraph::from_edges(NodeId n, std::vector<Edge> edges) {
   WeightedGraph g;
@@ -87,13 +99,7 @@ void WeightedGraph::build_indices() {
     }
     std::sort(out, out + nbrs.size());
   }
-  rebuild_id_index();
-}
-
-void WeightedGraph::rebuild_id_index() {
-  id_index_.resize(n());
-  for (NodeId v = 0; v < n(); ++v) id_index_[v] = {ids_[v], v};
-  std::sort(id_index_.begin(), id_index_.end());
+  id_index_ = sorted_id_index(ids_);
 }
 
 NodeId WeightedGraph::node_of_id(std::uint64_t id) const {
@@ -110,20 +116,24 @@ void WeightedGraph::set_ids(std::vector<std::uint64_t> ids) {
   if (ids.size() != n()) {
     throw std::invalid_argument("id vector size mismatch");
   }
-  std::set<std::uint64_t> uniq(ids.begin(), ids.end());
-  if (uniq.size() != ids.size()) {
+  // Uniqueness is checked on the sorted index itself, built into a
+  // temporary so a rejected call leaves ids_ and id_index_ unchanged.
+  auto index = sorted_id_index(ids);
+  if (std::adjacent_find(index.begin(), index.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first;
+                         }) != index.end()) {
     throw std::invalid_argument("node identifiers must be unique");
   }
   ids_ = std::move(ids);
-  rebuild_id_index();
+  id_index_ = std::move(index);
 }
 
 bool WeightedGraph::has_distinct_weights() const {
-  std::set<Weight> ws;
-  for (const Edge& e : edges_) {
-    if (!ws.insert(e.w).second) return false;
-  }
-  return true;
+  std::vector<Weight> ws(edges_.size());
+  for (std::size_t e = 0; e < edges_.size(); ++e) ws[e] = edges_[e].w;
+  std::sort(ws.begin(), ws.end());
+  return std::adjacent_find(ws.begin(), ws.end()) == ws.end();
 }
 
 bool WeightedGraph::is_connected() const {

@@ -127,7 +127,6 @@ class WeightedGraph {
 
  private:
   void build_indices();
-  void rebuild_id_index();
 
   // CSR adjacency: half_edges_[offsets_[v] .. offsets_[v+1]) are the ports
   // of v, in edge-list insertion order.

@@ -1,8 +1,8 @@
 #include "graph/tree.hpp"
 
 #include <algorithm>
-#include <stack>
 #include <stdexcept>
+#include <utility>
 
 namespace ssmst {
 
@@ -21,68 +21,68 @@ RootedTree RootedTree::from_parents(const WeightedGraph& g, NodeId root,
   t.parent_ = parent;
   t.parent_port_.assign(n, 0);
   t.parent_weight_.assign(n, 0);
-  t.children_.assign(n, {});
   t.depth_.assign(n, 0);
   t.subtree_size_.assign(n, 1);
   t.edge_in_tree_.assign(g.m(), false);
 
-  std::size_t tree_edges = 0;
+  // CSR children: count, prefix-sum, then one port-order scan of every
+  // node's neighbours. Scanning by port keeps each child list in port order
+  // at the parent, so DFS order is locally computable from ports alone (the
+  // train's DFS pipeline relies on this, Section 6.2); the same scan reads
+  // each child's parent port off the half-edge.
+  t.child_off_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
     if (v == root) continue;
-    const NodeId p = parent[v];
-    if (p >= n) throw std::invalid_argument("parent out of range");
-    const std::uint32_t port = g.port_to(v, p);
-    if (port == std::numeric_limits<std::uint32_t>::max()) {
+    if (parent[v] >= n) throw std::invalid_argument("parent out of range");
+    ++t.child_off_[parent[v] + 1];
+  }
+  for (NodeId v = 0; v < n; ++v) t.child_off_[v + 1] += t.child_off_[v];
+  t.children_.resize(static_cast<std::size_t>(n) - 1);
+  std::uint32_t fill = 0;
+  for (NodeId p = 0; p < n; ++p) {
+    for (const HalfEdge& he : g.neighbors(p)) {
+      if (parent[he.to] != p) continue;
+      t.children_[fill++] = he.to;
+      t.parent_port_[he.to] = he.rev_port;
+      t.parent_weight_[he.to] = he.w;
+      t.edge_in_tree_[he.edge_index] = true;
+    }
+    // A child not found among p's neighbours has no edge to its parent.
+    if (fill != t.child_off_[p + 1]) {
       throw std::invalid_argument("parent edge not in graph");
     }
-    t.parent_port_[v] = port;
-    const HalfEdge& he = g.half_edge(v, port);
-    t.parent_weight_[v] = he.w;
-    t.edge_in_tree_[he.edge_index] = true;
-    t.children_[p].push_back(v);
-    ++tree_edges;
   }
-  if (tree_edges != static_cast<std::size_t>(n) - 1) {
-    throw std::invalid_argument("parent pointers do not form n-1 edges");
-  }
-  // Children in port order at the parent: sort by the parent's port leading
-  // to the child so that DFS order is locally computable from ports alone
-  // (the train's DFS pipeline relies on this, Section 6.2).
-  for (NodeId v = 0; v < n; ++v) {
-    std::sort(t.children_[v].begin(), t.children_[v].end(),
-              [&](NodeId a, NodeId b) {
-                return g.port_to(v, a) < g.port_to(v, b);
-              });
-  }
-  // Iterative DFS computing order, depth, subtree sizes, tin/tout.
+  // Iterative DFS computing order, depth, subtree sizes, tin/tout. The
+  // stack holds (node, next child slot in children_).
   t.dfs_pre_.reserve(n);
   t.dfs_index_.assign(n, 0);
   t.tin_.assign(n, 0);
   t.tout_.assign(n, 0);
   std::uint32_t timer = 0;
   std::size_t visited = 0;
-  std::stack<std::pair<NodeId, std::size_t>> st;
-  st.push({root, 0});
+  std::vector<std::pair<NodeId, std::uint32_t>> st;
+  st.emplace_back(root, t.child_off_[root]);
   t.tin_[root] = timer++;
   t.dfs_index_[root] = static_cast<std::uint32_t>(t.dfs_pre_.size());
   t.dfs_pre_.push_back(root);
   ++visited;
   while (!st.empty()) {
-    auto& [v, ci] = st.top();
-    if (ci < t.children_[v].size()) {
-      const NodeId c = t.children_[v][ci++];
+    const NodeId v = st.back().first;
+    std::uint32_t& next = st.back().second;
+    if (next < t.child_off_[v + 1]) {
+      const NodeId c = t.children_[next++];
       t.depth_[c] = t.depth_[v] + 1;
       t.height_ = std::max(t.height_, t.depth_[c]);
       t.tin_[c] = timer++;
       t.dfs_index_[c] = static_cast<std::uint32_t>(t.dfs_pre_.size());
       t.dfs_pre_.push_back(c);
       ++visited;
-      st.push({c, 0});
+      st.emplace_back(c, t.child_off_[c]);
     } else {
       t.tout_[v] = timer++;
-      st.pop();
+      st.pop_back();
       if (!st.empty()) {
-        t.subtree_size_[st.top().first] += t.subtree_size_[v];
+        t.subtree_size_[st.back().first] += t.subtree_size_[v];
       }
     }
   }

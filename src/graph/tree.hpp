@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -12,6 +12,8 @@ namespace ssmst {
 /// paper's components c(v) do: each non-root node stores the port of the
 /// edge to its parent (Section 2.1). The class precomputes the derived views
 /// every module needs: children lists, depths, subtree sizes, DFS pre-order.
+/// Children are stored in CSR form like the graph's adjacency: one flat
+/// array indexed by per-node offsets.
 class RootedTree {
  public:
   /// Builds from per-node parent pointers (kNoNode for the root).
@@ -29,7 +31,11 @@ class RootedTree {
   std::uint32_t parent_port(NodeId v) const { return parent_port_[v]; }
   Weight parent_edge_weight(NodeId v) const { return parent_weight_[v]; }
 
-  const std::vector<NodeId>& children(NodeId v) const { return children_[v]; }
+  /// Children of v in port order at v.
+  std::span<const NodeId> children(NodeId v) const {
+    return {children_.data() + child_off_[v],
+            child_off_[v + 1] - child_off_[v]};
+  }
   std::uint32_t depth(NodeId v) const { return depth_[v]; }
   std::uint32_t height() const { return height_; }
   std::uint32_t subtree_size(NodeId v) const { return subtree_size_[v]; }
@@ -61,7 +67,9 @@ class RootedTree {
   std::vector<NodeId> parent_;
   std::vector<std::uint32_t> parent_port_;
   std::vector<Weight> parent_weight_;
-  std::vector<std::vector<NodeId>> children_;
+  // CSR children: children_[child_off_[v] .. child_off_[v+1]).
+  std::vector<std::uint32_t> child_off_;
+  std::vector<NodeId> children_;
   std::vector<std::uint32_t> depth_;
   std::vector<std::uint32_t> subtree_size_;
   std::vector<NodeId> dfs_pre_;

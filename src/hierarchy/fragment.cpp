@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
+#include <stdexcept>
 
 namespace ssmst {
 
@@ -15,25 +15,39 @@ FragmentHierarchy::FragmentHierarchy(const RootedTree& tree,
                                      std::vector<Fragment> fragments)
     : tree_(&tree), fragments_(std::move(fragments)) {
   const NodeId n = tree.n();
-  membership_.assign(n, {});
-  for (std::uint32_t f = 0; f < fragments_.size(); ++f) {
+  const auto fc = static_cast<std::uint32_t>(fragments_.size());
+  // CSR membership: count per node, prefix-sum, then fill in fragment
+  // order. Fragments come by level, so every node's list comes out
+  // ascending in (level, index) without a per-node sort.
+  member_off_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (std::uint32_t f = 0; f < fc; ++f) {
     Fragment& frag = fragments_[f];
-    std::sort(frag.nodes.begin(), frag.nodes.end());
+    if ((f > 0 && frag.level < fragments_[f - 1].level) ||
+        !std::is_sorted(frag.nodes.begin(), frag.nodes.end())) {
+      throw std::invalid_argument(
+          "fragments must come by level, members sorted by node index");
+    }
+    frag.parent = kNoFragment;  // derived below
+    frag.children.clear();
     if (frag.nodes.size() == n) top_ = f;
     height_ = std::max(height_, frag.level);
-    for (NodeId v : frag.nodes) {
-      membership_[v].push_back({frag.level, f});
-    }
+    for (NodeId v : frag.nodes) ++member_off_[v + 1];
   }
-  for (auto& mem : membership_) {
-    std::sort(mem.begin(), mem.end());
+  for (NodeId v = 0; v < n; ++v) member_off_[v + 1] += member_off_[v];
+  members_of_.resize(member_off_[n]);
+  std::vector<std::uint32_t> cursor(member_off_.begin(),
+                                    member_off_.end() - 1);
+  for (std::uint32_t f = 0; f < fc; ++f) {
+    for (NodeId v : fragments_[f].nodes) {
+      members_of_[cursor[v]++] = {fragments_[f].level, f};
+    }
   }
   // Containment parents: for each fragment, the smallest strictly larger
   // fragment containing its root. Memberships are sorted by level and
   // levels strictly increase along chains, so the next entry after this
   // fragment in its root's membership list is the parent.
-  for (std::uint32_t f = 0; f < fragments_.size(); ++f) {
-    const auto& mem = membership_[fragments_[f].root];
+  for (std::uint32_t f = 0; f < fc; ++f) {
+    const auto mem = membership(fragments_[f].root);
     const auto it = std::find_if(
         mem.begin(), mem.end(),
         [f](const auto& lv) { return lv.second == f; });
@@ -45,7 +59,7 @@ FragmentHierarchy::FragmentHierarchy(const RootedTree& tree,
 }
 
 std::uint32_t FragmentHierarchy::fragment_at(NodeId v, int level) const {
-  for (const auto& [lev, f] : membership_[v]) {
+  for (const auto& [lev, f] : membership(v)) {
     if (lev == level) return f;
     if (lev > level) break;
   }
@@ -76,7 +90,7 @@ std::string FragmentHierarchy::validate() const {
   // Per-node: exactly one level-0 singleton; levels strictly increasing;
   // outermost fragment is the top one.
   for (NodeId v = 0; v < n; ++v) {
-    const auto& mem = membership_[v];
+    const auto mem = membership(v);
     if (mem.empty() || mem.front().first != 0 ||
         fragments_[mem.front().second].size() != 1) {
       err << "node " << v << " lacks a level-0 singleton fragment";

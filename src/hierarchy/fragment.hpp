@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -46,6 +48,10 @@ struct Fragment {
 /// candidate function chi_M.
 class FragmentHierarchy {
  public:
+  /// `fragments` must come in nondecreasing level order, each with its
+  /// `nodes` sorted by node index (throws std::invalid_argument otherwise),
+  /// as SYNC_MST records them phase by phase. `parent` and `children` are
+  /// derived here; whatever the caller left in them is replaced.
   FragmentHierarchy(const RootedTree& tree, std::vector<Fragment> fragments);
 
   const RootedTree& tree() const { return *tree_; }
@@ -66,9 +72,9 @@ class FragmentHierarchy {
   std::uint32_t fragment_at(NodeId v, int level) const;
 
   /// All fragments containing v, as (level, fragment index), ascending.
-  const std::vector<std::pair<int, std::uint32_t>>& membership(
-      NodeId v) const {
-    return membership_[v];
+  std::span<const std::pair<int, std::uint32_t>> membership(NodeId v) const {
+    return {members_of_.data() + member_off_[v],
+            member_off_[v + 1] - member_off_[v]};
   }
 
   /// The true minimum outgoing edge of fragment f in G (centralized oracle;
@@ -92,7 +98,10 @@ class FragmentHierarchy {
   std::vector<Fragment> fragments_;
   std::uint32_t top_ = kNoFragment;
   int height_ = 0;
-  std::vector<std::vector<std::pair<int, std::uint32_t>>> membership_;
+  // CSR membership: members_of_[member_off_[v] .. member_off_[v+1]) are
+  // the (level, fragment) pairs containing v, ascending.
+  std::vector<std::uint32_t> member_off_;
+  std::vector<std::pair<int, std::uint32_t>> members_of_;
 };
 
 }  // namespace ssmst

@@ -72,34 +72,14 @@ MarkerOutput assemble(const WeightedGraph& g, ReferenceResult ref,
     l.subtree_count = t.subtree_size(v);
 
     // Value-initialized slices == the kStar/0 defaults the strings start
-    // from; only the membership entries below deviate.
+    // from. Every level with a fragment holding v reads "member, not its
+    // root, not an endpoint"; the fragment pass below marks the exceptions.
     l.alloc(*out.arena, static_cast<std::uint32_t>(len), pack);
     const auto roots = l.roots();
     const auto endp = l.endp();
-    const auto parents = l.parents();
     for (const auto& [lev, f] : h.membership(v)) {
-      const Fragment& frag = h.fragment(f);
-      const auto j = static_cast<std::size_t>(lev);
-      roots[j] = frag.root == v ? RootsEntry::kOne : RootsEntry::kZero;
-      if (!frag.has_candidate) {
-        endp[j] = EndpEntry::kNone;
-      } else if (frag.cand_inside != v) {
-        endp[j] = EndpEntry::kNone;
-      } else if (v != t.root() && frag.cand_outside == t.parent(v)) {
-        endp[j] = EndpEntry::kUp;
-      } else {
-        endp[j] = EndpEntry::kDown;
-      }
-    }
-    if (v != t.root()) {
-      const NodeId y = t.parent(v);
-      for (const auto& [lev, f] : h.membership(y)) {
-        const Fragment& frag = h.fragment(f);
-        if (frag.has_candidate && frag.cand_inside == y &&
-            frag.cand_outside == v) {
-          parents[static_cast<std::size_t>(lev)] = 1;
-        }
-      }
+      roots[static_cast<std::size_t>(lev)] = RootsEntry::kZero;
+      endp[static_cast<std::size_t>(lev)] = EndpEntry::kNone;
     }
 
     const auto& tpart = parts.top_parts[parts.top_part_of[v]];
@@ -118,24 +98,44 @@ MarkerOutput assemble(const WeightedGraph& g, ReferenceResult ref,
     l.set_bot_perm(bp.data(), bp.size());
   }
 
-  // EPS1 counting sub-scheme: per fragment, aggregate the number of
-  // candidate-endpoint members within each node's fragment-subtree.
-  for (std::uint32_t f = 0; f < h.fragment_count(); ++f) {
-    const Fragment& frag = h.fragment(f);
+  // The members a fragment singles out: its root (Roots = 1), the inner
+  // endpoint of its candidate edge (EndP up or down) and, when that edge
+  // leads down the tree, the child it reaches (Parents = 1).
+  for (const Fragment& frag : h.fragments()) {
     const auto j = static_cast<std::size_t>(frag.level);
-    std::vector<NodeId> members = frag.nodes;
-    std::sort(members.begin(), members.end(), [&](NodeId a, NodeId b) {
-      return t.dfs_index(a) > t.dfs_index(b);  // children before parents
-    });
-    for (NodeId v : members) {
-      const auto e = out.labels[v].endp()[j];
-      std::uint32_t cnt =
-          e == EndpEntry::kUp || e == EndpEntry::kDown ? 1 : 0;
-      for (NodeId c : t.children(v)) {
-        if (frag.contains(c)) cnt += out.labels[c].endp_cnt()[j];
+    out.labels[frag.root].roots()[j] = RootsEntry::kOne;
+    if (!frag.has_candidate) continue;
+    const NodeId x = frag.cand_inside;
+    const NodeId o = frag.cand_outside;
+    const bool up = x != t.root() && o == t.parent(x);
+    out.labels[x].endp()[j] = up ? EndpEntry::kUp : EndpEntry::kDown;
+    if (o != t.root() && t.parent(o) == x) out.labels[o].parents()[j] = 1;
+  }
+
+  // EPS1 counting sub-scheme: the number of candidate endpoints in each
+  // node's fragment-subtree, per level and capped at 2, in one sweep with
+  // children before parents. A child c lies in v's level-j fragment exactly
+  // when it is a non-root member of a level-j fragment (Roots_c[j] == 0):
+  // fragments are subtrees of T, so that fragment then also holds c's
+  // parent v. Levels where v has no fragment sum to 0, their default.
+  std::vector<std::uint32_t> acc(len);
+  const auto& pre = t.dfs_preorder();
+  for (auto it = pre.rbegin(); it != pre.rend(); ++it) {
+    NodeLabels& l = out.labels[*it];
+    const auto endp = l.endp();
+    for (std::size_t j = 0; j < len; ++j) {
+      acc[j] = endp[j] == EndpEntry::kUp || endp[j] == EndpEntry::kDown;
+    }
+    for (NodeId c : t.children(*it)) {
+      const auto roots_c = out.labels[c].roots();
+      const auto cnt_c = out.labels[c].endp_cnt();
+      for (std::size_t j = 0; j < len; ++j) {
+        if (roots_c[j] == RootsEntry::kZero) acc[j] += cnt_c[j];
       }
-      out.labels[v].endp_cnt()[j] =
-          static_cast<std::uint8_t>(std::min(cnt, 2u));
+    }
+    const auto cnt = l.endp_cnt();
+    for (std::size_t j = 0; j < len; ++j) {
+      cnt[j] = static_cast<std::uint8_t>(std::min(acc[j], 2u));
     }
   }
 

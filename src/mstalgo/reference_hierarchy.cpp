@@ -1,9 +1,9 @@
 #include "mstalgo/reference_hierarchy.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "util/bits.hpp"
 
@@ -67,7 +67,10 @@ ReferenceResult build_hierarchy_impl(const WeightedGraph& g,
   }
   const NodeId n = g.n();
   Forest forest(n);
+  // The recorded fragments are distinct sets (every active fragment merges
+  // in its phase) forming a laminar family over n nodes: fewer than 2n.
   std::vector<Fragment> recorded;
+  recorded.reserve(2 * std::size_t{n});
   std::uint64_t schedule_rounds = 0;
 
   bool done = n == 1;
@@ -79,6 +82,27 @@ ReferenceResult build_hierarchy_impl(const WeightedGraph& g,
     recorded.push_back(top);
   }
 
+  // Per-phase scratch, allocated once and reset at the start of each phase.
+  struct Active {
+    NodeId root;
+    std::vector<NodeId> members;
+    Selection sel;
+    bool spans = false;
+  };
+  std::vector<Active> active;
+  std::vector<NodeId> root_now(n);
+  std::vector<NodeId> chain;
+  std::vector<std::uint64_t> size_of(n);
+  std::vector<std::uint32_t> active_of(n);  // root -> active fragment index
+
+  // The order edge_key defines, with the weights compared before any
+  // identifier is loaded: identifiers only break weight ties.
+  auto lighter = [&](NodeId v, const HalfEdge& he, const Selection& cur) {
+    if (he.w != cur.w) return he.w < cur.w;
+    return edge_key(g, v, he.to, he.w) <
+           edge_key(g, cur.inside, cur.outside, cur.w);
+  };
+
   for (unsigned phase = 0; !done; ++phase) {
     if (phase > 2 * bits_for_values(n) + 4) {
       throw std::logic_error("SYNC_MST reference failed to terminate");
@@ -89,34 +113,24 @@ ReferenceResult build_hierarchy_impl(const WeightedGraph& g,
     //    parent pointers, O(n) amortized for the whole phase instead of a
     //    chain walk per (root, node) pair — then decide activity by size
     //    and group the members of active fragments in node-index order.
-    std::vector<NodeId> root_now(n, kNoNode);
-    {
-      std::vector<NodeId> chain;
-      for (NodeId v = 0; v < n; ++v) {
-        if (root_now[v] != kNoNode) continue;
-        NodeId cur = v;
-        chain.clear();
-        while (root_now[cur] == kNoNode && forest.parent[cur] != kNoNode) {
-          chain.push_back(cur);
-          cur = forest.parent[cur];
-        }
-        const NodeId r = root_now[cur] == kNoNode ? cur : root_now[cur];
-        root_now[cur] = r;
-        for (NodeId u : chain) root_now[u] = r;
+    root_now.assign(n, kNoNode);
+    for (NodeId v = 0; v < n; ++v) {
+      if (root_now[v] != kNoNode) continue;
+      NodeId cur = v;
+      chain.clear();
+      while (root_now[cur] == kNoNode && forest.parent[cur] != kNoNode) {
+        chain.push_back(cur);
+        cur = forest.parent[cur];
       }
+      const NodeId r = root_now[cur] == kNoNode ? cur : root_now[cur];
+      root_now[cur] = r;
+      for (NodeId u : chain) root_now[u] = r;
     }
-    std::vector<std::uint64_t> size_of(n, 0);
+    size_of.assign(n, 0);
     for (NodeId v = 0; v < n; ++v) ++size_of[root_now[v]];
 
-    struct Active {
-      NodeId root;
-      std::vector<NodeId> members;
-      Selection sel;
-      bool spans = false;
-    };
-    std::vector<Active> active;
-    std::vector<std::uint32_t> frag_of(n, kNoFragment);  // active frag idx
-    std::vector<std::uint32_t> active_of(n, kNoFragment);  // root -> idx
+    active.clear();
+    active_of.assign(n, kNoFragment);
     for (NodeId r = 0; r < n; ++r) {
       if (forest.parent[r] != kNoNode) continue;  // not a root
       if (size_of[r] > cap) continue;             // inactive this phase
@@ -126,34 +140,31 @@ ReferenceResult build_hierarchy_impl(const WeightedGraph& g,
     }
     for (NodeId v = 0; v < n; ++v) {
       const std::uint32_t idx = active_of[root_now[v]];
-      if (idx == kNoFragment) continue;
-      frag_of[v] = idx;
-      active[idx].members.push_back(v);
+      if (idx != kNoFragment) active[idx].members.push_back(v);
     }
 
     // 2. Each active fragment finds its minimum outgoing edge.
     for (Active& a : active) {
-      std::optional<EdgeKey> best;
+      bool found = false;
       for (NodeId v : a.members) {
         for (const HalfEdge& he : g.neighbors(v)) {
           if (allowed && !(*allowed)[he.edge_index]) continue;
           if (root_now[he.to] == a.root) continue;  // internal
-          const EdgeKey k = edge_key(g, v, he.to, he.w);
-          if (!best || k < *best) {
-            best = k;
-            a.sel = Selection{v, he.to, he.w};
-          }
+          if (found && !lighter(v, he, a.sel)) continue;
+          found = true;
+          a.sel = Selection{v, he.to, he.w};
         }
       }
-      a.spans = !best.has_value();
+      a.spans = !found;
     }
 
     // 3. Record active fragments (the nodes of H_M) with their candidates.
-    for (const Active& a : active) {
+    //    The member lists move into the record; steps 4-5 need only `sel`.
+    for (Active& a : active) {
       Fragment f;
       f.root = a.root;
       f.level = static_cast<int>(phase);
-      f.nodes = a.members;
+      f.nodes = std::move(a.members);
       if (!a.spans) {
         f.has_candidate = true;
         f.cand_inside = a.sel.inside;
@@ -177,7 +188,7 @@ ReferenceResult build_hierarchy_impl(const WeightedGraph& g,
     for (const Active& a : active) {
       const NodeId w = a.sel.inside;
       const NodeId x = a.sel.outside;
-      const std::uint32_t fx = frag_of[x];
+      const std::uint32_t fx = active_of[root_now[x]];
       bool mutual = false;
       if (fx != kNoFragment) {
         const Selection& other = active[fx].sel;
@@ -204,17 +215,16 @@ ReferenceResult build_hierarchy_impl(const WeightedGraph& g,
   res.tree = std::make_unique<RootedTree>(
       RootedTree::from_parents(g, final_root, forest.parent));
   // The recorded root of each fragment is its root at construction time;
-  // later root transfers may have re-oriented the fragment's edges. Recompute
-  // the canonical root r(F): the member closest to the final tree's root.
+  // later root transfers may have re-oriented the fragment's edges. The
+  // canonical root r(F) is the member closest to the final tree's root: a
+  // fragment is a connected subtree of T, so that is its unique shallowest
+  // member.
+  const RootedTree& t = *res.tree;
   for (Fragment& f : recorded) {
     f.build_root = f.root;
-    std::sort(f.nodes.begin(), f.nodes.end());
-    for (NodeId v : f.nodes) {
-      if (v == res.tree->root() || !f.contains(res.tree->parent(v))) {
-        f.root = v;
-        break;
-      }
-    }
+    f.root = *std::min_element(
+        f.nodes.begin(), f.nodes.end(),
+        [&](NodeId a, NodeId b) { return t.depth(a) < t.depth(b); });
   }
   res.hierarchy = std::make_unique<FragmentHierarchy>(*res.tree,
                                                       std::move(recorded));

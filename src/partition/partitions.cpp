@@ -22,14 +22,13 @@ Piece piece_of(const FragmentHierarchy& h, std::uint32_t f) {
   return p;
 }
 
-/// Computes DFS pre-order indices of `nodes` within the part rooted at
-/// `root`, following the tree's child order restricted to part members.
-/// `part.nodes` is sorted by node index, so membership is a binary search.
+/// Computes DFS pre-order indices of the members of part `pid` within the
+/// part, following the tree's child order restricted to part members
+/// (`part_of` maps each node to its part).
 void fill_dfs_indices(const RootedTree& t, const Partitions::Part& part,
+                      std::uint32_t pid,
+                      const std::vector<std::uint32_t>& part_of,
                       std::vector<std::uint32_t>& out) {
-  auto is_member = [&](NodeId v) {
-    return std::binary_search(part.nodes.begin(), part.nodes.end(), v);
-  };
   std::uint32_t idx = 0;
   // Iterative DFS over members only.
   std::vector<NodeId> stack = {part.root};
@@ -37,11 +36,20 @@ void fill_dfs_indices(const RootedTree& t, const Partitions::Part& part,
     const NodeId v = stack.back();
     stack.pop_back();
     out[v] = idx++;
-    const auto& kids = t.children(v);
+    const auto kids = t.children(v);
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      if (is_member(*it)) stack.push_back(*it);
+      if (part_of[*it] == pid) stack.push_back(*it);
     }
   }
+}
+
+/// The `pack` pieces of `part` starting at position pack * dfs.
+std::span<const Piece> perm_pieces(const Partitions::Part& part,
+                                   std::uint32_t pack, std::uint32_t dfs) {
+  const std::span<const Piece> all(part.pieces);
+  const std::size_t lo = std::min<std::size_t>(std::size_t{pack} * dfs,
+                                               all.size());
+  return all.subspan(lo, std::min<std::size_t>(pack, all.size() - lo));
 }
 
 }  // namespace
@@ -51,26 +59,12 @@ std::uint32_t top_threshold(NodeId n) {
       2, static_cast<std::uint32_t>(ceil_log2(std::max<NodeId>(n, 2))) + 1);
 }
 
-std::vector<Piece> Partitions::perm_top_pieces(NodeId v) const {
-  const Part& p = top_parts[top_part_of[v]];
-  std::vector<Piece> out;
-  const std::uint32_t d = top_dfs_[v];
-  for (std::uint32_t i = pack * d; i < pack * (d + 1) && i < p.pieces.size();
-       ++i) {
-    out.push_back(p.pieces[i]);
-  }
-  return out;
+std::span<const Piece> Partitions::perm_top_pieces(NodeId v) const {
+  return perm_pieces(top_parts[top_part_of[v]], pack, top_dfs_[v]);
 }
 
-std::vector<Piece> Partitions::perm_bot_pieces(NodeId v) const {
-  const Part& p = bot_parts[bot_part_of[v]];
-  std::vector<Piece> out;
-  const std::uint32_t d = bot_dfs_[v];
-  for (std::uint32_t i = pack * d; i < pack * (d + 1) && i < p.pieces.size();
-       ++i) {
-    out.push_back(p.pieces[i]);
-  }
-  return out;
+std::span<const Piece> Partitions::perm_bot_pieces(NodeId v) const {
+  return perm_pieces(bot_parts[bot_part_of[v]], pack, bot_dfs_[v]);
 }
 
 Partitions build_partitions(const FragmentHierarchy& h, std::uint32_t pack) {
@@ -340,8 +334,12 @@ Partitions build_partitions(const FragmentHierarchy& h, std::uint32_t pack) {
   // --- DFS placement indices ----------------------------------------------
   out.top_dfs_.assign(n, 0);
   out.bot_dfs_.assign(n, 0);
-  for (const auto& part : out.top_parts) fill_dfs_indices(t, part, out.top_dfs_);
-  for (const auto& part : out.bot_parts) fill_dfs_indices(t, part, out.bot_dfs_);
+  for (std::uint32_t i = 0; i < out.top_parts.size(); ++i) {
+    fill_dfs_indices(t, out.top_parts[i], i, out.top_part_of, out.top_dfs_);
+  }
+  for (std::uint32_t i = 0; i < out.bot_parts.size(); ++i) {
+    fill_dfs_indices(t, out.bot_parts[i], i, out.bot_part_of, out.bot_dfs_);
+  }
   return out;
 }
 

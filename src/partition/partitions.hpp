@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hierarchy/fragment.hpp"
@@ -58,9 +59,10 @@ struct Partitions {
   std::uint32_t pack = 2;
 
   /// Permanent pieces of node v for its top part: the `pack` pieces
-  /// starting at position pack * dfs_index(v) of the part's list.
-  std::vector<Piece> perm_top_pieces(NodeId v) const;
-  std::vector<Piece> perm_bot_pieces(NodeId v) const;
+  /// starting at position pack * dfs_index(v) of the part's list, as a view
+  /// into that list.
+  std::span<const Piece> perm_top_pieces(NodeId v) const;
+  std::span<const Piece> perm_bot_pieces(NodeId v) const;
 
   /// DFS index of v inside its part (0-based pre-order position).
   std::uint32_t top_dfs_index(NodeId v) const { return top_dfs_[v]; }

@@ -65,7 +65,25 @@ TEST(Graph, IdsAreUniquePermutation) {
 
 TEST(Graph, SetIdsRejectsDuplicates) {
   auto g = triangle();
+  std::vector<std::uint64_t> before;
+  for (NodeId v = 0; v < g.n(); ++v) before.push_back(g.id(v));
   EXPECT_THROW(g.set_ids({1, 1, 2}), std::invalid_argument);
+  // A rejected call leaves the identifiers and their index unchanged.
+  for (NodeId v = 0; v < g.n(); ++v) {
+    EXPECT_EQ(g.id(v), before[v]);
+    EXPECT_EQ(g.node_of_id(before[v]), v);
+  }
+  g.set_ids({30, 10, 20});
+  EXPECT_EQ(g.node_of_id(10), 1u);
+  EXPECT_EQ(g.node_of_id(30), 0u);
+  EXPECT_EQ(g.node_of_id(before[0]), kNoNode);
+}
+
+TEST(Graph, DistinctWeightsDetectsATie) {
+  EXPECT_TRUE(triangle().has_distinct_weights());
+  const auto tie =
+      WeightedGraph::from_edges(3, {{0, 1, 5}, {1, 2, 7}, {0, 2, 5}});
+  EXPECT_FALSE(tie.has_distinct_weights());
 }
 
 TEST(Graph, Connectivity) {

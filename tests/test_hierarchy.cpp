@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
+
 #include "graph/generators.hpp"
 #include "graph/mst.hpp"
 #include "hierarchy/checker.hpp"
@@ -51,6 +55,34 @@ TEST(Hierarchy, ParentChildConsistent) {
     EXPECT_NE(std::find(par.children.begin(), par.children.end(), f),
               par.children.end());
   }
+}
+
+TEST(Hierarchy, RebuildFromOwnFragmentsIsIdempotent) {
+  // parent/children are derived by the constructor, never appended to what
+  // the input fragments already carry.
+  Rng rng(6);
+  auto g = gen::random_connected(50, 30, rng);
+  auto ref = build_reference_hierarchy(g);
+  const FragmentHierarchy again(*ref.tree, ref.hierarchy->fragments());
+  ASSERT_EQ(again.fragment_count(), ref.hierarchy->fragment_count());
+  for (std::uint32_t f = 0; f < again.fragment_count(); ++f) {
+    EXPECT_EQ(again.fragment(f).parent, ref.hierarchy->fragment(f).parent);
+    EXPECT_EQ(again.fragment(f).children,
+              ref.hierarchy->fragment(f).children);
+  }
+  EXPECT_EQ(again.validate(), "");
+}
+
+TEST(Hierarchy, RejectsFragmentsOutOfOrder) {
+  Rng rng(7);
+  auto g = gen::path(4, rng);
+  auto ref = build_reference_hierarchy(g);
+  auto frags = ref.hierarchy->fragments();
+  std::swap(frags.front(), frags.back());  // the top fragment comes first
+  EXPECT_THROW(FragmentHierarchy(*ref.tree, frags), std::invalid_argument);
+  frags = ref.hierarchy->fragments();
+  std::reverse(frags.back().nodes.begin(), frags.back().nodes.end());
+  EXPECT_THROW(FragmentHierarchy(*ref.tree, frags), std::invalid_argument);
 }
 
 TEST(Hierarchy, CheckerAcceptsCorrectHierarchy) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "graph/generators.hpp"
 #include "graph/mst.hpp"
 #include "labels/marker.hpp"
@@ -363,6 +366,216 @@ TEST(BitSizePins, BitsCostContentNotStorage) {
                                           : RootsEntry::kOne;
   EXPECT_FALSE(a == b);
   EXPECT_EQ(m.labels[3].roots()[0], orig);
+}
+
+// --- Golden marker pin -------------------------------------------------------
+// Digests of the whole make_labels output — label content (never arena
+// offsets), the hierarchy, both partitions and the tree — captured before
+// the marker's flat CSR layout landed. Any layout or speed work on the
+// marker must reproduce them bit for bit: every algorithm and tie-break
+// (Procedure Merge's on node index included) stays as it was.
+
+struct Digest {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  void add(std::uint64_t x) {
+    std::uint64_t z = h ^ x;  // splitmix64 finalizer over the running state
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    h = z ^ (z >> 31);
+  }
+  template <typename Range>
+  void add_all(const Range& r) {
+    add(static_cast<std::uint64_t>(std::size(r)));
+    for (const auto x : r) add(static_cast<std::uint64_t>(x));
+  }
+  template <typename Pieces>
+  void add_pieces(const Pieces& ps) {
+    add(static_cast<std::uint64_t>(ps.size()));
+    for (const Piece& p : ps) {
+      add(p.root_id);
+      add(p.level);
+      add(p.min_out_w);
+    }
+  }
+};
+
+struct MarkerDigests {
+  std::uint64_t labels, hierarchy, partitions, tree;
+};
+
+MarkerDigests digest_marker(const MarkerOutput& m) {
+  const RootedTree& t = *m.tree;
+  const FragmentHierarchy& h = *m.hierarchy;
+  const Partitions& p = m.partitions;
+  const NodeId n = t.n();
+  MarkerDigests out{};
+
+  Digest dl;
+  dl.add(m.schedule_rounds);
+  for (const NodeLabels& l : m.labels) {
+    for (const std::uint64_t x :
+         {l.sp_root_id, std::uint64_t{l.sp_dist}, l.self_id, l.parent_id,
+          std::uint64_t{l.n_claim}, std::uint64_t{l.subtree_count},
+          l.top_part_root_id, std::uint64_t{l.top_part_depth},
+          std::uint64_t{l.top_piece_count}, l.bot_part_root_id,
+          std::uint64_t{l.bot_part_depth}, std::uint64_t{l.bot_piece_count},
+          std::uint64_t{l.delim}, std::uint64_t{l.pack},
+          std::uint64_t{l.string_length()}}) {
+      dl.add(x);
+    }
+    for (std::size_t j = 0; j < l.string_length(); ++j) {
+      dl.add(static_cast<std::uint64_t>(l.roots()[j]));
+      dl.add(static_cast<std::uint64_t>(l.endp()[j]));
+      dl.add(l.parents()[j]);
+      dl.add(l.endp_cnt()[j]);
+    }
+    dl.add_pieces(l.top_perm());
+    dl.add_pieces(l.bot_perm());
+  }
+  out.labels = dl.h;
+
+  Digest dh;
+  dh.add(h.fragment_count());
+  dh.add(h.top());
+  dh.add(static_cast<std::uint64_t>(h.height()));
+  for (const Fragment& f : h.fragments()) {
+    dh.add(f.root);
+    dh.add(f.build_root);
+    dh.add(static_cast<std::uint64_t>(f.level));
+    dh.add_all(f.nodes);
+    dh.add(f.parent);
+    dh.add_all(f.children);
+    dh.add(f.has_candidate);
+    dh.add(f.cand_inside);
+    dh.add(f.cand_outside);
+    dh.add(f.cand_weight);
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    for (const auto& [lev, f] : h.membership(v)) {
+      dh.add(static_cast<std::uint64_t>(lev));
+      dh.add(f);
+    }
+  }
+  out.hierarchy = dh.h;
+
+  Digest dp;
+  dp.add(p.theta);
+  dp.add(p.pack);
+  dp.add_all(p.frag_is_top);
+  dp.add_all(p.frag_is_red);
+  dp.add_all(p.frag_is_blue);
+  for (const auto* parts : {&p.top_parts, &p.bot_parts}) {
+    dp.add(parts->size());
+    for (const Partitions::Part& part : *parts) {
+      dp.add(part.root);
+      dp.add_all(part.nodes);
+      dp.add_pieces(part.pieces);
+    }
+  }
+  dp.add_all(p.top_part_of);
+  dp.add_all(p.bot_part_of);
+  dp.add_all(p.delim);
+  for (NodeId v = 0; v < n; ++v) {
+    dp.add(p.top_dfs_index(v));
+    dp.add(p.bot_dfs_index(v));
+  }
+  out.partitions = dp.h;
+
+  Digest dt;
+  dt.add(t.root());
+  for (NodeId v = 0; v < n; ++v) {
+    dt.add(v == t.root() ? kNoPort : t.parent_port(v));
+    dt.add(t.dfs_index(v));
+    dt.add(t.depth(v));
+    dt.add(t.subtree_size(v));
+    dt.add_all(t.children(v));
+  }
+  out.tree = dt.h;
+  return out;
+}
+
+struct GoldenCase {
+  std::string name;
+  MarkerDigests want;
+};
+
+TEST(MarkerGolden, WholeOutputMatchesPinnedDigests) {
+  const std::vector<GoldenCase> golden = {
+      {"path32",
+       {0x39de860255cbb284ULL, 0xd93756a67997192dULL, 0x976c774ef6f9ec1eULL,
+        0x50291aa953fd5603ULL}},
+      {"cycle33",
+       {0xdd9c7a5a1e529145ULL, 0xd2bca95ff103ee65ULL, 0x2f87a1af800eb4faULL,
+        0x2f8a9a09b6eb71ffULL}},
+      {"grid6x7",
+       {0x3b73ab5ccea51986ULL, 0x2f9f95f7fd7ef569ULL, 0x693fd4d3000c9aaaULL,
+        0x94b8b8c417ae03f9ULL}},
+      {"star24",
+       {0x608f1550ba840852ULL, 0x5b5290bf8b756474ULL, 0x44e52763e909736cULL,
+        0x4d88b3a43c90abbaULL}},
+      {"complete12",
+       {0x0c1cf944188f9904ULL, 0xa713bcaaa4725290ULL, 0xe3d87821e8f971ccULL,
+        0x5387d5b80757af87ULL}},
+      {"caterpillar8x3",
+       {0x9e1dc3802dca33f7ULL, 0x678505510876636dULL, 0x9ad319e0849ff5ccULL,
+        0xd1fceaf80a90dce9ULL}},
+      {"btree31+10",
+       {0x3eb48b1173d68b7bULL, 0x67a49d347f3e24dcULL, 0x980a9837cf862a7bULL,
+        0x8340223f7286fba9ULL}},
+      {"rand64+48",
+       {0xbbeec38b70f68b3cULL, 0x2ab26fbbd81d6a36ULL, 0xd3e75042bc842079ULL,
+        0xcb69ff36475f2f6cULL}},
+      {"rand100+30",
+       {0xda88d6c16794015aULL, 0x63972b4abcdc734cULL, 0xb4ebee3320ed3042ULL,
+        0xb8d6766b43a5f1f4ULL}},
+      {"bdeg96d4",
+       {0xac3f0eafbbf6a385ULL, 0xacf157cf0bf20169ULL, 0x6f2bc5d7f6831d31ULL,
+        0xc582382e9f0562efULL}},
+      {"figure1",
+       {0x7bd5e7b4990a8df3ULL, 0x337cadd8f7ff2cbeULL, 0x3c1540d0740d74baULL,
+        0xb64b4839b055fc3cULL}},
+      {"non-mst rand60+60",
+       {0x61bcdec0bfd19ec9ULL, 0xef49832b23b0622dULL, 0x0c807e452ed0fbbeULL,
+        0xcaf78cdd8bad92a4ULL}},
+      {"pack4 rand80+40",
+       {0x4b96f55acc70d839ULL, 0x4de2d101e4bf8670ULL, 0xd6c6488a14fbca20ULL,
+        0x0b82fb45d63cc35cULL}},
+      {"rand4096+2048",
+       {0x1048f009f6c34078ULL, 0xd0e7cb656a1eb011ULL, 0x39bdacc2b3f1ef82ULL,
+        0xd4200d02454a4207ULL}},
+  };
+  std::vector<std::pair<std::string, MarkerDigests>> got;
+  for (const auto& [name, g] : gen::standard_suite(808)) {
+    got.emplace_back(name, digest_marker(make_labels(g)));
+  }
+  {
+    Rng rng(1);
+    const auto g = gen::random_connected(60, 60, rng);
+    std::vector<bool> bad;
+    ASSERT_TRUE(make_non_mst_spanning_tree(g, bad));
+    got.emplace_back("non-mst rand60+60",
+                     digest_marker(make_labels_for_tree(g, bad)));
+  }
+  {
+    Rng rng(4);
+    const auto g = gen::random_connected(80, 40, rng);
+    got.emplace_back("pack4 rand80+40", digest_marker(make_labels(g, 4)));
+  }
+  {
+    Rng rng(21);
+    const auto g = gen::random_connected(4096, 2048, rng);
+    got.emplace_back("rand4096+2048", digest_marker(make_labels(g)));
+  }
+  ASSERT_EQ(got.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const auto& [name, d] = got[i];
+    SCOPED_TRACE(name);
+    EXPECT_EQ(name, golden[i].name);
+    EXPECT_EQ(d.labels, golden[i].want.labels);
+    EXPECT_EQ(d.hierarchy, golden[i].want.hierarchy);
+    EXPECT_EQ(d.partitions, golden[i].want.partitions);
+    EXPECT_EQ(d.tree, golden[i].want.tree);
+  }
 }
 
 }  // namespace

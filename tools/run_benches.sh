@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Runs the perf-tracked benches once and merges their machine-readable
-# records into one JSON file (default BENCH_PR10.json) so the perf
-# trajectory is tracked across PRs instead of prose-only in CHANGES.md.
+# records into one JSON file so the perf trajectory is tracked across PRs
+# instead of prose-only in CHANGES.md.
 #
-# Usage: tools/run_benches.sh <build-dir> [out.json] [max-n]
+# Usage: tools/run_benches.sh <build-dir> <out.json> [max-n]
 #
 #   build-dir  directory containing the bench binaries (e.g. build)
-#   out.json   merged output file              (default: BENCH_PR10.json)
+#   out.json   merged output file (required, so a run never appends into a
+#              committed BENCH_PR*.json by accident)
 #   max-n      scale-section size for the table benches
 #              (default: 1048576 = 2^20; use e.g. 16384 for a quick smoke)
 #
@@ -16,8 +17,9 @@
 # longer leave a partially-written BENCH json behind.
 set -euo pipefail
 
-build=${1:?usage: tools/run_benches.sh <build-dir> [out.json] [max-n]}
-out=${2:-BENCH_PR10.json}
+usage="usage: tools/run_benches.sh <build-dir> <out.json> [max-n]"
+build=${1:?$usage}
+out=${2:?$usage}
 max_n=${3:-1048576}
 
 tmp=$(mktemp "${out}.XXXXXX.tmp")
