@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace ssmst::gen {
 
@@ -24,18 +24,36 @@ WeightedGraph build(NodeId n, std::vector<std::pair<NodeId, NodeId>> ends,
   return WeightedGraph::from_edges(n, std::move(edges));
 }
 
+/// Duplicate-edge filter over undirected edges, keyed on (min << 32) | max.
+class EdgeFilter {
+ public:
+  explicit EdgeFilter(std::size_t expected) { keys_.reserve(expected); }
+  /// Adds {u, v}; false if it was already present.
+  bool insert(NodeId u, NodeId v) {
+    const auto [lo, hi] = std::minmax(u, v);
+    return keys_.insert((std::uint64_t{lo} << 32) | hi).second;
+  }
+  std::size_t size() const { return keys_.size(); }
+
+ private:
+  // ssmst-lint: allow(R4): membership only — never iterated, so no
+  // generated edge depends on the hash layout.
+  std::unordered_set<std::uint64_t> keys_;
+};
+
 void add_random_chords(NodeId n, NodeId extra,
                        std::vector<std::pair<NodeId, NodeId>>& ends,
                        Rng& rng, std::uint32_t max_deg = 0) {
-  std::set<std::pair<NodeId, NodeId>> present;
+  const std::uint64_t max_possible =
+      static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  EdgeFilter present(static_cast<std::size_t>(
+      std::min<std::uint64_t>(ends.size() + extra, max_possible)));
   std::vector<std::uint32_t> deg(n, 0);
   for (auto [u, v] : ends) {
-    present.insert({std::min(u, v), std::max(u, v)});
+    present.insert(u, v);
     ++deg[u];
     ++deg[v];
   }
-  const std::uint64_t max_possible =
-      static_cast<std::uint64_t>(n) * (n - 1) / 2;
   std::uint64_t budget = std::min<std::uint64_t>(extra, max_possible -
                                                             present.size());
   std::uint64_t attempts = 0;
@@ -46,9 +64,8 @@ void add_random_chords(NodeId n, NodeId extra,
     const NodeId v = static_cast<NodeId>(rng.below(n));
     if (u == v) continue;
     if (max_deg != 0 && (deg[u] >= max_deg || deg[v] >= max_deg)) continue;
-    const auto key = std::pair{std::min(u, v), std::max(u, v)};
-    if (!present.insert(key).second) continue;
-    ends.push_back(key);
+    if (!present.insert(u, v)) continue;
+    ends.push_back({std::min(u, v), std::max(u, v)});
     ++deg[u];
     ++deg[v];
     --budget;
@@ -188,11 +205,10 @@ WeightedGraph power_law(NodeId n, std::uint32_t attach, Rng& rng) {
 WeightedGraph expander(NodeId n, std::uint32_t matchings, Rng& rng) {
   if (n < 3) throw std::invalid_argument("expander needs n >= 3");
   std::vector<std::pair<NodeId, NodeId>> ends;
-  std::set<std::pair<NodeId, NodeId>> present;
+  EdgeFilter present(std::size_t{n} * (matchings + 1));
   auto add = [&](NodeId u, NodeId v) {
-    const auto key = std::pair{std::min(u, v), std::max(u, v)};
-    if (!present.insert(key).second) return;
-    ends.push_back(key);
+    if (!present.insert(u, v)) return;
+    ends.push_back({std::min(u, v), std::max(u, v)});
   };
   for (NodeId v = 0; v < n; ++v) add(v, (v + 1) % n);
   std::vector<NodeId> perm(n);

@@ -67,16 +67,6 @@ class ResetProtocol final : public Protocol<ResetState> {
 /// asynchronous: the activation-queue daemon (weakly fair) under `order`.
 /// The wave quiesces in the queue once settled — nodes outside the
 /// frontier cost nothing per unit.
-///
-/// This is also the watchdog's escalation step (total-state fault model;
-/// sim/simulation.hpp class comment): when Simulation::watchdog_escalated()
-/// reports that repeated audit-failing trips are not cleared by the round-0
-/// reseed — the fault lives in state the reseed cannot rewrite, e.g. a
-/// corrupted label header — VerificationService floods a reset from the
-/// audit's suspect set, bills its settle time and re-audits. The wave runs
-/// on its own Simulation<ResetState>: it neither re-marks the instance nor
-/// rewrites the caller's registers, so register damage is still there at
-/// the re-audit.
 std::uint64_t run_reset(const WeightedGraph& g,
                         const std::vector<NodeId>& seeds, bool sync_mode,
                         Rng& daemon, DaemonOrder order = DaemonOrder::kRandom);

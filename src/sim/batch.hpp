@@ -84,11 +84,16 @@ class BatchRunner {
   unsigned threads() const { return pool_.threads(); }
   ThreadPool& pool() { return pool_; }
 
-  /// The per-job generator. Rng's constructor already whitens its seed
-  /// through splitmix64, so a golden-ratio stride over the job index is
-  /// enough for independent streams across jobs and nearby sweep seeds.
+  /// The per-job seed. Rng's constructor already whitens its seed through
+  /// splitmix64, so a golden-ratio stride over the job index is enough for
+  /// independent streams across jobs and nearby sweep seeds.
+  static std::uint64_t job_seed(std::uint64_t sweep_seed, std::size_t job) {
+    return sweep_seed + 0x9e3779b97f4a7c15ULL * (job + 1);
+  }
+
+  /// The per-job generator, seeded with job_seed.
   static Rng job_rng(std::uint64_t sweep_seed, std::size_t job) {
-    return Rng(sweep_seed + 0x9e3779b97f4a7c15ULL * (job + 1));
+    return Rng(job_seed(sweep_seed, job));
   }
 
   /// Runs job(i, rng) for i in [0, jobs) across the pool with per-job

@@ -168,12 +168,17 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
   auto& sim = h->sim();
   // Drives the daemon directly (not VerifierHarness::run) so storm waves
   // keep landing after a mid-storm alarm — run() returns at first alarm.
-  auto step = [&] { sim.async_unit(daemon, kDaemon); };
+  // Detection times count units run, through the unit that raised the
+  // first alarm: an async alarm is stamped with the clock before its unit,
+  // so the stamp alone reads one unit short.
+  std::optional<std::uint64_t> alarm_seen;  // sim.time() after that unit
+  auto step = [&] {
+    sim.async_unit(daemon, kDaemon);
+    if (!alarm_seen && sim.first_alarm_time()) alarm_seen = sim.time();
+  };
   auto run_until_alarm = [&](std::uint64_t units) {
-    for (std::uint64_t i = 0; i < units && !sim.first_alarm_time(); ++i) {
-      step();
-    }
-    return sim.first_alarm_time();
+    for (std::uint64_t i = 0; i < units && !alarm_seen; ++i) step();
+    return alarm_seen;
   };
 
   if (cfg.cls == CampaignClass::kNonMstMark) {
@@ -184,7 +189,7 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
       r.error = "verifier never alarmed on a non-MST marking";
       return r;
     }
-    r.detection_units = *first;
+    r.detection_units = *first;  // the run started at time 0
     r.distance = 0;  // the whole configuration is faulty
     r.ok = true;
     return r;
@@ -286,14 +291,14 @@ EpisodeResult run_episode(const CampaignConfig& cfg, std::uint64_t seed) {
   bool via_audit = false;
   auto detect = [&](std::uint64_t units) -> std::optional<std::uint64_t> {
     for (std::uint64_t i = 0; i < units; ++i) {
-      if (auto t = sim.first_alarm_time()) return t;
+      if (alarm_seen) return alarm_seen;
       if (sim.stats().audit_violations > viol0) {
         via_audit = true;
         return sim.time();
       }
       step();
     }
-    if (auto t = sim.first_alarm_time()) return t;
+    if (alarm_seen) return alarm_seen;
     if (sim.stats().audit_violations > viol0) {
       via_audit = true;
       return sim.time();

@@ -150,10 +150,10 @@ struct EpisodeResult {
   std::uint64_t seed = 0;                ///< replay: run_episode(cfg, seed)
 };
 
-/// Index-derived episode seed (the BatchRunner job_rng stride).
+/// Index-derived episode seed (BatchRunner::job_seed).
 inline std::uint64_t episode_seed(std::uint64_t campaign_seed,
                                   std::size_t index) {
-  return campaign_seed + 0x9e3779b97f4a7c15ULL * (index + 1);
+  return BatchRunner::job_seed(campaign_seed, index);
 }
 
 /// Runs one oracle-checked episode. Fully deterministic in (cfg, seed).

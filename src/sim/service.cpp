@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "labels/arena.hpp"
-#include "selfstab/reset.hpp"
 #include "sim/batch.hpp"
 #include "sim/faults.hpp"
 #include "verify/metrology.hpp"
@@ -40,7 +39,7 @@ bool deterministic_equal(const TenantReport& a, const TenantReport& b) {
   return a.index == b.index && a.outcome == b.outcome &&
          a.priority == b.priority && a.detected == b.detected &&
          a.detection_units == b.detection_units && a.strikes == b.strikes &&
-         a.attempts == b.attempts && a.units_used == b.units_used &&
+         a.units_used == b.units_used &&
          a.deadline_units == b.deadline_units && a.audits == b.audits &&
          a.audit_violations == b.audit_violations && a.repairs == b.repairs &&
          a.result_digest == b.result_digest &&
@@ -50,12 +49,12 @@ bool deterministic_equal(const TenantReport& a, const TenantReport& b) {
 
 namespace {
 
-/// Episode budgets (VerificationService class comment): the deadline is
-/// kDeadlineFactor * watchdog_budget_for(n) units over at most
-/// kMaxAttempts detection windows; every tenant first holds kWarmupUnits
-/// quiet, and a healthy one serves kWorkUnits before its final audit.
+/// Episode budgets (VerificationService class comment): a faulted tenant
+/// runs until its fault is detected or kDeadlineFactor *
+/// watchdog_budget_for(n) units have passed; every tenant first holds
+/// kWarmupUnits quiet, and a healthy one serves kWorkUnits before its
+/// final audit.
 constexpr std::uint64_t kDeadlineFactor = 24;
-constexpr std::uint32_t kMaxAttempts = 3;
 constexpr std::uint64_t kWarmupUnits = 64;
 constexpr std::uint64_t kWorkUnits = 256;
 
@@ -66,8 +65,8 @@ std::uint64_t fnv(std::uint64_t h, std::uint64_t x) {
   return (h ^ x) * kFnvPrime;
 }
 
-/// One tenant's episode body: warmup, fault injection, the strike-ledger
-/// detection ladder and the repair/escalation ladder (lifecycle state
+/// One tenant's episode body: warmup, fault injection, then either the
+/// healthy traffic or one detection run and one audit (lifecycle state
 /// machine in the VerificationService class comment). Deterministic in
 /// (cfg, spec, index); drives its simulation single-threaded — the
 /// nested-pool rules in sim/batch.hpp forbid attaching the service pool.
@@ -75,16 +74,19 @@ std::uint64_t fnv(std::uint64_t h, std::uint64_t x) {
 /// outcome fields and the arena reclaim over it.
 void run_episode(const ServiceConfiguration& cfg, const TenantSpec& spec,
                  std::size_t index, TenantReport& r) {
-  Rng root = BatchRunner::job_rng(cfg.service_seed(), index);
+  // One key both seeds the episode and tags its slabs: every arena the
+  // marking below acquires belongs to this tenant until the harness
+  // unwinds (slab-reclaim contract).
+  const std::uint64_t tag =
+      VerificationService::tenant_tag(cfg.service_seed(), index);
+  LabelArenaPool::TenantScope scope(tag);
+  Rng root(tag);
   Rng grng = root.split();
   Rng frng = root.split();
   Rng daemon = root.split();
-  Rng reset_daemon = root.split();
-
-  // Slab attribution: every arena the marking below acquires belongs to
-  // this tenant until the harness unwinds (slab-reclaim contract).
-  LabelArenaPool::TenantScope scope(
-      VerificationService::tenant_tag(cfg.service_seed(), index));
+  // Unused draw: root.next() below seeds the harness's daemon, so dropping
+  // this split would reschedule every tenant.
+  root.split();
 
   WeightedGraph g = campaign::make_family_graph(spec.family, spec.n, grng);
   VerifierConfig vcfg;
@@ -153,79 +155,37 @@ void run_episode(const ServiceConfiguration& cfg, const TenantSpec& spec,
       r.outcome = TenantOutcome::kHealthy;
     }
   } else {
-    // ---- strike-ledger detection ladder (exponential backoff) ----
     // Detection is a protocol alarm or — for faults with no register
     // symptom — the watchdog-trip audit reporting violations (the
     // campaign detection convention, sim/campaign.cpp).
     const std::uint64_t viol0 = sim.stats().audit_violations;
-    const std::uint64_t t0 = sim.time();
     const auto detected_now = [&] {
       return sim.first_alarm_time().has_value() ||
              sim.stats().audit_violations > viol0;
     };
-    bool detected = false;
-    std::uint64_t used = 0;
-    for (std::uint32_t attempt = 1; attempt <= kMaxAttempts; ++attempt) {
-      r.attempts = attempt;
-      if (attempt > 1) {
-        // Backoff rung: the reseed-repair retry re-arms the watchdog at
-        // double the previous trip budget.
-        sim.set_watchdog(base << (attempt - 1));
-      }
-      // One trip window plus the post-reseed detection bound (the
-      // bounded-latency pin in tests/test_aux_faults.cpp), doubling per
-      // rung, always capped by what is left of the deadline budget.
-      std::uint64_t window = (4 * base + 8192) << (attempt - 1);
-      if (window > r.deadline_units - used) {
-        window = r.deadline_units - used;
-      }
-      std::uint64_t i = 0;
-      for (; i < window && !detected_now(); ++i) {
-        sim.async_unit(daemon, vcfg.daemon);
-      }
-      used += i;
-      if (detected_now()) {
-        detected = true;
-        break;
-      }
-      ++r.strikes;
-      if (used >= r.deadline_units) break;
+    std::uint64_t i = 0;
+    for (; i < r.deadline_units && !detected_now(); ++i) {
+      sim.async_unit(daemon, vcfg.daemon);
     }
-    r.units_used = used;
-    r.detected = detected;
-    if (!detected) {
+    r.units_used = i;
+    r.detected = detected_now();
+    if (!r.detected) {
       // Deadline budget spent with nothing surfaced: isolate the tenant
       // rather than let it keep consuming fleet capacity.
+      r.strikes = 1;
       r.outcome = TenantOutcome::kQuarantined;
       r.error = "undetected within the deadline budget";
     } else {
-      r.detection_units = sim.time() - t0;
-      AuditReport rep = sim.audit();
-      const bool structural = rep.register_violations > 0;
-      if (!structural && !sim.watchdog_escalated()) {
+      r.detection_units = r.units_used;
+      if (sim.audit().register_violations == 0) {
         // Aux damage the watchdog's reseed repair rewrites (or already
         // rewrote); the sticky alarm is the detection evidence.
         r.outcome = TenantOutcome::kRepaired;
       } else {
-        // Structural damage lives in state the reseed cannot rewrite
-        // (e.g. a truncated label header): escalate — flood a reset from
-        // the audit's suspect set (the run_reset escalation contract,
-        // selfstab/reset.hpp) and re-audit. The wave rewrites none of
-        // these registers, so register damage ends in quarantine.
-        std::vector<NodeId> seeds(rep.suspects.begin(), rep.suspects.end());
-        if (seeds.empty()) seeds = sim.alarmed_nodes();
-        std::uint64_t settled = 0;
-        if (!seeds.empty()) {
-          settled = run_reset(g, seeds, /*sync_mode=*/false, reset_daemon);
-        }
-        r.units_used += settled;
-        const AuditReport after = sim.audit();
-        if (settled > 0 && after.register_violations == 0) {
-          r.outcome = TenantOutcome::kRepaired;
-        } else {
-          r.outcome = TenantOutcome::kQuarantined;
-          r.error = "structural damage survives escalation";
-        }
+        // Register damage (e.g. a truncated label header) lives in state
+        // the reseed cannot rewrite; only a re-mark of the instance could.
+        r.outcome = TenantOutcome::kQuarantined;
+        r.error = "register damage the reseed repair cannot rewrite";
       }
     }
   }
@@ -287,7 +247,7 @@ void run_contained(const ServiceConfiguration& cfg, const TenantSpec& spec,
   d = fnv(d, static_cast<std::uint64_t>(r.outcome));
   d = fnv(d, r.detected ? 1 : 0);
   d = fnv(d, r.detection_units);
-  d = fnv(d, (std::uint64_t{r.strikes} << 32) | r.attempts);
+  d = fnv(d, r.strikes);
   d = fnv(d, r.units_used);
   d = fnv(d, r.deadline_units);
   d = fnv(d, r.audits);
@@ -304,9 +264,7 @@ void run_contained(const ServiceConfiguration& cfg, const TenantSpec& spec,
 
 std::uint64_t VerificationService::tenant_tag(std::uint64_t service_seed,
                                               std::size_t index) {
-  // The BatchRunner job_rng stride: one key both seeds the episode and
-  // tags its slabs.
-  return service_seed + 0x9e3779b97f4a7c15ULL * (index + 1);
+  return BatchRunner::job_seed(service_seed, index);
 }
 
 VerificationService::VerificationService(ServiceConfiguration cfg)

@@ -43,8 +43,8 @@ struct TenantSpec {
 enum class TenantOutcome : std::uint8_t {
   kPending,     ///< admitted, not yet dispatched
   kHealthy,     ///< ran its traffic quiet, final audit clean
-  kRepaired,    ///< fault detected and the repair/escalation path cleared it
-  kQuarantined, ///< isolated: undetected past deadline, or damage persists
+  kRepaired,    ///< fault detected; its damage is what the reseed rewrites
+  kQuarantined, ///< isolated: undetected past deadline, or register damage
   kShed,        ///< dropped by admission control before running
   kError,       ///< episode failed outside the fault model (incl. kPoison)
 };
@@ -63,9 +63,8 @@ struct TenantReport {
   std::uint32_t priority = 0;
   bool detected = false;              ///< fault surfaced (alarm or audit)
   std::uint64_t detection_units = 0;  ///< units injection -> detection
-  std::uint32_t strikes = 0;          ///< detection windows that expired
-  std::uint32_t attempts = 0;         ///< backoff rounds run (>= 1)
-  std::uint64_t units_used = 0;       ///< logical units, incl. escalation
+  std::uint32_t strikes = 0;          ///< 1 iff the deadline expired undetected
+  std::uint64_t units_used = 0;       ///< logical units after injection
   std::uint64_t deadline_units = 0;   ///< the tenant's deadline budget
   std::uint64_t audits = 0;
   std::uint64_t audit_violations = 0;
@@ -90,8 +89,8 @@ bool deterministic_equal(const TenantReport& a, const TenantReport& b);
 ///                               .service_seed(42));
 ///
 /// The episode's own budgets are fixed: 64 quiet warmup units, 256 traffic
-/// units for a healthy tenant, 3 detection windows, and a deadline of
-/// 24 * watchdog_budget_for(n) logical units (sim/service.cpp).
+/// units for a healthy tenant, and a deadline of 24 * watchdog_budget_for(n)
+/// logical units for a faulted tenant's detection (sim/service.cpp).
 class ServiceConfiguration {
  public:
   /// Scheduler lanes (ThreadPool width). 0 is treated as 1.
@@ -143,22 +142,13 @@ class ServiceConfiguration {
 ///   admitted --drain/dispatch--> running
 ///   running:
 ///     no fault, traffic quiet, final audit clean ............ kHealthy
-///     fault detected (alarm or audit violation) within the
-///       deadline (24 * watchdog_budget_for(n) units), and the
-///       detection audit finds no register damage:
-///       - aux damage: the watchdog's reseed repair (strike
-///         ledger of up to 3 detection windows; each expired
-///         window re-arms at double the budget — exponential
-///         backoff) rewrites it, or
-///       - the watchdog escalated: escalation floods run_reset
-///         from the audit's suspect set (else the alarmed
-///         nodes; with neither, kQuarantined), bills its settle
-///         time and re-audits ................................ kRepaired
-///     detected with register damage (e.g. a truncated label
-///       header): escalation floods run_reset the same way, but
-///       the wave runs on its own Simulation<ResetState> and
-///       rewrites none of the tenant's registers, so the
-///       re-audit finds the same damage ..................... kQuarantined
+///     fault detected (an alarm, or a watchdog trip whose audit
+///       fails) within the deadline (24 * watchdog_budget_for(n)
+///       units); the episode ends there with one audit, which
+///       - finds no register damage: the damage was aux state
+///         the watchdog's reseed repair rewrites ............ kRepaired
+///       - finds register damage (e.g. a truncated label
+///         header), which no reseed rewrites ................ kQuarantined
 ///     undetected once the deadline budget is spent ......... kQuarantined
 ///     episode threw (e.g. kPoison) ......................... kError
 ///
@@ -187,8 +177,8 @@ class ServiceConfiguration {
 /// steady-state allocations (tests/test_alloc_free.cpp). Tenant sims
 /// never see the service pool (ThreadPool is not re-entrant; the
 /// nested-pool rules in sim/batch.hpp) — each episode is single-threaded
-/// and seeded by BatchRunner::job_rng(service_seed, index), which is what
-/// makes reports bit-identical across 1/4/8 scheduler threads.
+/// and seeded by tenant_tag(service_seed, index), which is what makes
+/// reports bit-identical across 1/4/8 scheduler threads.
 class VerificationService {
  public:
   explicit VerificationService(ServiceConfiguration cfg);
@@ -210,9 +200,9 @@ class VerificationService {
   std::size_t pending() const { return pending_; }
   unsigned threads() const { return pool_.threads(); }
 
-  /// The per-tenant accounting key used for LabelArenaPool attribution
-  /// (also the tenant's episode seed — the BatchRunner golden-ratio
-  /// stride over the index).
+  /// The per-tenant accounting key used for LabelArenaPool attribution,
+  /// and also the tenant's episode seed (BatchRunner::job_seed over the
+  /// index).
   static std::uint64_t tenant_tag(std::uint64_t service_seed,
                                   std::size_t index);
 

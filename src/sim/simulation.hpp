@@ -294,16 +294,14 @@ struct AuditReport {
 ///    is therefore activated at least once per budget + 1 units —
 ///    detection latency of any register fault is bounded by budget + the
 ///    protocol's own detection bound. Repairs count into
-///    SimulationStats::repairs; audit-failing trips accumulate strikes,
-///    and kWatchdogEscalateAfter (3) consecutive failing trips set
-///    watchdog_escalated() — the signal that reseeding is not clearing the
-///    corruption source (e.g. structurally corrupt registers) and the
-///    caller must escalate to something that rewrites those registers,
-///    such as a re-mark (selfstab/reset.hpp says what the service's
-///    escalation runs). The watchdog is off by default (budget 0) and
-///    costs one predictable branch per round/unit when off, so the
-///    zero-allocation and bit-identical-parallel pins are unaffected
-///    unless armed.
+///    SimulationStats::repairs. Damage in state the reseed cannot rewrite
+///    (e.g. a structurally corrupt register) fails every trip's audit
+///    (last_watchdog_report()); only the caller can rewrite those
+///    registers, e.g. by re-marking the instance — VerificationService
+///    quarantines such a tenant instead. The watchdog is off by default
+///    (budget 0) and costs one predictable branch per round/unit when
+///    off, so the zero-allocation and bit-identical-parallel pins are
+///    unaffected unless armed.
 template <typename State>
 class Simulation {
  public:
@@ -523,25 +521,17 @@ class Simulation {
   /// Arms the watchdog: every `budget_units` time units the engine audits
   /// and applies the round-0 reseed repair (unconditionally — see the
   /// class comment for why a clean audit cannot certify quiescence under
-  /// the total-state model). kWatchdogEscalateAfter consecutive
-  /// audit-failing trips set watchdog_escalated(). budget_units == 0
-  /// disarms. The budget should be derived from the instance's
-  /// stabilization bound — wide enough that a healthy run quiesces well
-  /// inside one window (verify/metrology.hpp's watchdog_budget_for gives
-  /// the verifier's O(log^2 n) default).
+  /// the total-state model). budget_units == 0 disarms. The budget
+  /// should be derived from the instance's stabilization bound — wide
+  /// enough that a healthy run quiesces well inside one window
+  /// (verify/metrology.hpp's watchdog_budget_for gives the verifier's
+  /// O(log^2 n) default).
   void set_watchdog(std::uint64_t budget_units) {
     watchdog_budget_ = budget_units;
     watchdog_window_start_ = stats_.time;
-    watchdog_strikes_ = 0;
-    watchdog_escalated_ = false;
   }
-  /// True once kWatchdogEscalateAfter consecutive watchdog trips found audit
-  /// violations: the reseed repair is not clearing the corruption source
-  /// and the caller must escalate (class comment). Sticky until the
-  /// watchdog is re-armed.
-  bool watchdog_escalated() const { return watchdog_escalated_; }
   /// Report of the most recent watchdog-trip audit (valid after the first
-  /// trip; tests and the campaign engine read violation classes off it).
+  /// trip; tests read violation classes and suspects off it).
   const AuditReport& last_watchdog_report() const { return wd_report_; }
 
   // ---- Total-state fault surface (class comment; sim/faults.hpp wraps
@@ -1138,19 +1128,11 @@ class Simulation {
   }
 
   /// One watchdog trip: audit (reusing wd_report_, so warm trips allocate
-  /// nothing), strike accounting toward escalation, then the trivially
-  /// correct repair — the round-0 reseed (class comment: unconditional,
-  /// because a clean audit cannot certify quiescence under the
-  /// total-state model).
+  /// nothing), then the trivially correct repair — the round-0 reseed
+  /// (class comment: unconditional, because a clean audit cannot certify
+  /// quiescence under the total-state model).
   __attribute__((noinline)) void watchdog_trip() {
     audit_into(wd_report_);
-    if (!wd_report_.ok()) {
-      if (++watchdog_strikes_ >= kWatchdogEscalateAfter) {
-        watchdog_escalated_ = true;
-      }
-    } else {
-      watchdog_strikes_ = 0;
-    }
     // Round-0 reseed: every node re-enabled, queue bookkeeping rebuilt
     // from scratch (a dangling dirty bit or stray entry would survive a
     // bare blanket re-enable), staleness history erased.
@@ -1224,10 +1206,6 @@ class Simulation {
   AuditReport wd_report_;            ///< reused trip report (warm = no alloc)
   std::uint64_t watchdog_budget_ = 0;        ///< 0 = disarmed
   std::uint64_t watchdog_window_start_ = 0;  ///< stats_.time at window open
-  /// Consecutive audit-failing trips that set watchdog_escalated().
-  static constexpr std::uint32_t kWatchdogEscalateAfter = 3;
-  std::uint32_t watchdog_strikes_ = 0;  ///< consecutive audit-failing trips
-  bool watchdog_escalated_ = false;
 };
 
 }  // namespace ssmst

@@ -105,7 +105,9 @@ DetectionResult VerifierHarness::measure_detection(
     return res;
   }
   res.detected = true;
-  res.detection_time = *first - start;
+  // Units run, not the alarm stamp: an async alarm carries the clock
+  // before its unit, a sync one the clock after its round.
+  res.detection_time = sim_->time() - start;
   for (std::uint64_t i = 0; i < slack; ++i) {
     if (cfg_.sync_mode) {
       sim_->sync_round();

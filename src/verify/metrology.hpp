@@ -17,7 +17,7 @@ namespace ssmst {
 /// latency/distance statistics.
 struct DetectionResult {
   bool detected = false;
-  std::uint64_t detection_time = 0;  ///< units from injection to first alarm
+  std::uint64_t detection_time = 0;  ///< units run until the first alarm
   std::vector<NodeId> alarming;      ///< all nodes alarmed by that time + slack
   /// Detection distance (Section 2.4); nullopt when no node alarmed.
   std::optional<std::uint32_t> distance;

@@ -292,8 +292,7 @@ TEST(Watchdog, AuxQueueDropDetectsWithinBudgetWithWatchdog) {
 
 TEST(Watchdog, RepairRestoresQueueAndStampInvariants) {
   // Faults the round-0 reseed CAN rewrite (queue bookkeeping, stamps) are
-  // gone after one trip: the engine audits clean again and the strike
-  // counter resets rather than escalating. Injected on a
+  // gone after one trip: the engine audits clean again. Injected on a
   // QUIESCENT engine so the damage persists until the trip sees it —
   // pending entries would be drained (and thereby healed) by the very
   // units that advance the clock toward the trip.
@@ -316,13 +315,12 @@ TEST(Watchdog, RepairRestoresQueueAndStampInvariants) {
   EXPECT_FALSE(f.sim.last_watchdog_report().ok())
       << "the trip audit must have seen the violations";
   EXPECT_TRUE(f.sim.audit().ok()) << "repair must restore the aux invariants";
-  EXPECT_FALSE(f.sim.watchdog_escalated());
 }
 
-TEST(Watchdog, PersistentRegisterFaultEscalates) {
+TEST(Watchdog, PersistentRegisterFaultFailsEveryTrip) {
   // A corrupted label header lives in state the reseed cannot rewrite:
-  // every trip's audit keeps failing, strikes accumulate, and the
-  // watchdog escalates — the signal to take the run_reset path instead.
+  // every trip repairs (reseeds), and every trip's audit still reports
+  // the header and names its node.
   SteadyVerifier f(32, 112);
   auto& sim = f.sim();
   const std::vector<NodeId> victims = {9};
@@ -334,21 +332,18 @@ TEST(Watchdog, PersistentRegisterFaultEscalates) {
   // Drive units directly: the truncation may raise (sticky) alarms, and
   // VerifierHarness::run would return at the first one.
   Rng daemon(555);
+  std::uint64_t trips = 0;
   for (int i = 0; i < 40; ++i) {
     sim.async_unit(daemon, DaemonOrder::kRandom);
+    if (sim.stats().repairs == trips) continue;
+    trips = sim.stats().repairs;
+    const AuditReport& rep = sim.last_watchdog_report();
+    EXPECT_GE(rep.register_violations, 1u) << "trip " << trips;
+    EXPECT_NE(std::find(rep.suspects.begin(), rep.suspects.end(), NodeId{9}),
+              rep.suspects.end())
+        << "trip " << trips;
   }
-  EXPECT_TRUE(sim.watchdog_escalated());
-  EXPECT_GE(sim.stats().repairs, 3u);
-
-  // The escalation path itself: flood a reset from the audit's suspects
-  // (selfstab/reset.hpp's contract) and check it settles.
-  const auto& rep = sim.last_watchdog_report();
-  ASSERT_FALSE(rep.suspects.empty());
-  Rng reset_daemon(56);
-  const auto settled =
-      run_reset(sim.graph(), {rep.suspects.begin(), rep.suspects.end()},
-                /*sync_mode=*/false, reset_daemon);
-  EXPECT_GT(settled, 0u);
+  EXPECT_GE(trips, 3u);
 }
 
 TEST(Watchdog, DisarmedWatchdogCostsNoAuditsOrRepairs) {

@@ -278,6 +278,26 @@ TEST(DetectionResult, UndetectedRunsCarryNoDistance) {
   EXPECT_EQ(res.distance, std::nullopt);
 }
 
+TEST(DetectionResult, NumKFaultReadsOneUnitUnderBothSchedulers) {
+  // A NumK label fault is caught by the first step after injection under
+  // either scheduler. detection_time counts units run, so it reads 1
+  // whether the alarm is stamped after its round (sync) or with the clock
+  // before its unit (async).
+  Rng rng(94);
+  auto g = gen::random_connected(48, 24, rng);
+  const NodeId victim = g.n() / 2;
+  for (const bool sync : {true, false}) {
+    VerifierConfig cfg;
+    cfg.sync_mode = sync;
+    VerifierHarness h(g, cfg, 18);
+    ASSERT_FALSE(h.run(64).has_value()) << "sync=" << sync;
+    h.sim().state(victim).labels.subtree_count += 1;
+    const auto res = h.measure_detection({victim}, /*max_units=*/64);
+    ASSERT_TRUE(res.detected) << "sync=" << sync;
+    EXPECT_EQ(res.detection_time, 1u) << "sync=" << sync;
+  }
+}
+
 // --------------------------------------------------- oracle-checked fuzz
 
 /// >= 100 replayable episodes across >= 5 graph families and all campaign
@@ -311,6 +331,8 @@ TEST(CampaignFuzz, OracleCheckedEpisodesAcrossFamiliesAndClasses) {
             << ": " << r.error;
         if (r.detected) {
           ASSERT_TRUE(r.distance.has_value());
+          // Detection counts units run, and nothing is seen before one.
+          EXPECT_GE(r.detection_units, 1u);
         }
       }
     }

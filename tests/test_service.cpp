@@ -77,7 +77,6 @@ TEST(VerificationService, FleetContainmentPin) {
           << "tenant " << i << " -> " << outcome_name(r.outcome);
       EXPECT_TRUE(r.detected) << "tenant " << i;
       EXPECT_LE(r.units_used, r.deadline_units) << "tenant " << i;
-      EXPECT_GE(r.attempts, 1u) << "tenant " << i;
       repaired += r.outcome == TenantOutcome::kRepaired;
       quarantined += r.outcome == TenantOutcome::kQuarantined;
     } else {
@@ -95,6 +94,21 @@ TEST(VerificationService, FleetContainmentPin) {
   EXPECT_EQ(repaired, 16u);
   EXPECT_EQ(quarantined, 8u);
   EXPECT_EQ(healthy, 40u);
+}
+
+// Register damage ends the episode at its first audit: every
+// arena-truncate tenant of the pin fleet is quarantined with no unit run
+// past its detection (run_solo gives the fleet's report for the slot).
+TEST(VerificationService, RegisterDamageQuarantinesAtDetection) {
+  for (std::size_t i = 5; i < 64; i += 8) {
+    const TenantSpec spec = fleet_spec(i);
+    ASSERT_EQ(spec.fault, TenantFault::kArenaTruncate);
+    const TenantReport r =
+        VerificationService::run_solo(fleet_cfg(8), spec, i);
+    EXPECT_EQ(r.outcome, TenantOutcome::kQuarantined) << "tenant " << i;
+    EXPECT_TRUE(r.detected) << "tenant " << i;
+    EXPECT_EQ(r.units_used, r.detection_units) << "tenant " << i;
+  }
 }
 
 // The scheduler-determinism pin: per-tenant reports are a pure function of

@@ -3,7 +3,7 @@
 # benchmarks, between two git revisions.
 #
 # Usage: tools/ab.sh <base-rev> <change-rev> <workload> [pairs] [seconds]
-#                    [seed]
+#                    [seed] [change-digest]
 #
 #   base-rev, change-rev  any git revisions, e.g. HEAD~1 HEAD
 #   workload              pipeline | train-detect | kkp-storm | fleet,
@@ -13,6 +13,10 @@
 #                         bench_micro --benchmark_min_time in micro mode
 #   seed                  perfbench --seed for every run (default: 1);
 #                         unused in micro mode
+#   change-digest         hex value the change side's `simulated digest`
+#                         line must end in, for a change that declares a
+#                         new digest (default: none, the sides must agree);
+#                         unused in micro mode
 #
 # Both revisions are exported with `git archive` into a temporary
 # directory. Each side builds its own perfbench through its own
@@ -21,9 +25,11 @@
 # with the given seed, alternating which side goes first, so a claim made
 # at seed 1 can be rechecked on a fresh seed. The script fails if any run
 # is not `"correct": true` with `"failed": 0`, or if the two sides print
-# different `simulated digest` lines. It prints, for every end-to-end
-# metric in the change side's BENCHMARK.json, each side's median and
-# quartiles and the number of pairs the change won.
+# different `simulated digest` lines. With a change-digest the sides may
+# differ, but each side must print its own warm-up digest on every run,
+# and the change side's must end in the declared value. It prints, for
+# every end-to-end metric in the change side's BENCHMARK.json, each side's
+# median and quartiles and the number of pairs the change won.
 #
 # micro:<regex> configures each export's root CMake project in Release and
 # builds only bench_micro. Each run executes the benchmarks whose names
@@ -39,13 +45,14 @@
 set -euo pipefail
 
 usage="usage: tools/ab.sh <base-rev> <change-rev> <workload> [pairs]"
-usage+=" [seconds] [seed]"
+usage+=" [seconds] [seed] [change-digest]"
 base_rev=${1:?$usage}
 change_rev=${2:?$usage}
 workload=${3:?$usage}
 pairs=${4:-10}
 seconds=${5:-2}
 seed=${6:-1}
+want_digest=${7:-}
 
 micro_filter=
 case "$workload" in
@@ -59,6 +66,10 @@ if ! [[ $pairs =~ ^[1-9][0-9]*$ && $seconds =~ ^[1-9][0-9]*$ ]]; then
 fi
 if ! [[ $seed =~ ^[0-9]+$ ]]; then
   echo "ab.sh: seed must be digits only" >&2
+  exit 2
+fi
+if [ -n "$want_digest" ] && ! [[ $want_digest =~ ^[0-9a-f]+$ ]]; then
+  echo "ab.sh: change-digest must be lowercase hex digits" >&2
   exit 2
 fi
 
@@ -214,7 +225,13 @@ run_side base "$tmp/base.warm"
 run_side change "$tmp/change.warm"
 base_digest=$(grep '^simulated digest' "$tmp/base.warm")
 change_digest=$(grep '^simulated digest' "$tmp/change.warm")
-if [ "$base_digest" != "$change_digest" ]; then
+if [ -n "$want_digest" ]; then
+  if [ "${change_digest##*: }" != "$want_digest" ]; then
+    echo "ab.sh: change digest is not the declared $want_digest" >&2
+    echo "  change: $change_digest" >&2
+    exit 1
+  fi
+elif [ "$base_digest" != "$change_digest" ]; then
   echo "ab.sh: simulated digests differ" >&2
   echo "  base:   $base_digest" >&2
   echo "  change: $change_digest" >&2
@@ -226,7 +243,9 @@ for ((i = 1; i <= pairs; i++)); do
   for side in "${order[@]}"; do
     run_side "$side" "$tmp/$side.$i"
     digest=$(grep '^simulated digest' "$tmp/$side.$i")
-    if [ "$digest" != "$base_digest" ]; then
+    want=$base_digest
+    [ "$side" = change ] && want=$change_digest
+    if [ "$digest" != "$want" ]; then
       echo "ab.sh: $side pair $i digest changed: $digest" >&2
       exit 1
     fi
@@ -236,7 +255,12 @@ done
 
 echo "$workload: $pairs pairs at --seconds $seconds --seed $seed," \
   "base ${base_sha:0:12}, change ${change_sha:0:12}"
-echo "$base_digest"
+if [ "$base_digest" = "$change_digest" ]; then
+  echo "$base_digest"
+else
+  echo "base:   $base_digest"
+  echo "change: $change_digest"
+fi
 python3 - "$tmp" "$pairs" <<'EOF'
 import json
 import os
