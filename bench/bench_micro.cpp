@@ -111,15 +111,14 @@ BENCHMARK(BM_SimSyncRound)->Arg(1024);
 
 // Sharded sync rounds: the same engine sweep on a large graph, split into
 // contiguous CSR shards across a thread pool (bit-identical results; see
-// test_parallel_sim). Arg0 = nodes, Arg1 = threads; thread count 1 uses
-// the one-shard sweep and is the baseline the speedup is measured against.
+// test_parallel_sim). Arg0 = nodes, Arg1 = threads; a one-lane pool gives
+// the one-shard sweep, the baseline the speedup is measured against.
 void BM_SimSyncRoundSharded(benchmark::State& state) {
   const auto& g = test_graph(static_cast<NodeId>(state.range(0)));
   const auto threads = static_cast<unsigned>(state.range(1));
   PulseProtocol proto;
   ThreadPool pool(threads);  // declared first: must outlive the simulation
-  Simulation<PulseState> sim(g, proto, std::vector<PulseState>(g.n()));
-  if (threads > 1) sim.set_thread_pool(&pool);
+  Simulation<PulseState> sim(g, proto, std::vector<PulseState>(g.n()), &pool);
   for (auto _ : state) {
     sim.sync_round();
   }
@@ -301,11 +300,10 @@ void BM_AsyncDrainParallel(benchmark::State& state) {
   const auto& g = test_graph(n);
   KkpVerifierProtocol proto(g);
   ThreadPool pool(threads);  // declared first: must outlive the simulation
-  Simulation<KkpState> sim(g, proto, proto.initial_states(test_marker(n)));
-  if (threads > 1) {
-    sim.set_thread_pool(&pool);
-    sim.set_async_drain(AsyncDrain::kParallel);
-  }
+  // A one-lane pool is one shard, so kParallel leaves its drains sequential.
+  Simulation<KkpState> sim(g, proto, proto.initial_states(test_marker(n)),
+                           &pool);
+  sim.set_async_drain(AsyncDrain::kParallel);
   Rng daemon(29);
   // Settle to quiescence: the initial blanket unit is the only full drain.
   for (int u = 0; u < 4; ++u) {

@@ -191,8 +191,8 @@ struct NodeLabels {
   }
 
   /// Live out-of-header payload in bytes: what this label occupies in its
-  /// arena's stripes (the physical-footprint accounting the benches and
-  /// SimulationStats::peak_register_bytes report).
+  /// arena's stripes (the physical footprint the benches and
+  /// run_scale_probe's register_file_bytes_per_node report).
   std::size_t live_stripe_bytes() const {
     return std::size_t{lvl_cap} * sizeof(LevelEntry) +
            2 * std::size_t{perm_cap} * sizeof(Piece);

@@ -1,8 +1,8 @@
 #include "mstalgo/ghs_boruvka.hpp"
 
-#include <stdexcept>
 #include <tuple>
 
+#include "mstalgo/sync_mst.hpp"
 #include "util/bits.hpp"
 
 namespace ssmst {
@@ -207,36 +207,10 @@ GhsRun run_ghs_boruvka(const WeightedGraph& g) {
       7ULL * std::max<std::uint64_t>(g.n(), 1) *
           (static_cast<std::uint64_t>(ceil_log2(g.n() + 1)) + 2) +
       64;
-  bool all_done = false;
-  while (!all_done) {
-    if (sim.time() > max_rounds) {
-      throw std::logic_error("GHS baseline exceeded its schedule");
-    }
-    sim.sync_round();
-    all_done = true;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (!sim.cstate(v).done) {
-        all_done = false;
-        break;
-      }
-    }
-  }
-  NodeId root = kNoNode;
-  std::vector<NodeId> parent(g.n(), kNoNode);
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const GhsState& s = sim.cstate(v);
-    if (s.parent_port == kNone) {
-      if (root != kNoNode) {
-        throw std::logic_error("GHS baseline finished with two roots");
-      }
-      root = v;
-    } else {
-      parent[v] = g.half_edge(v, s.parent_port).to;
-    }
-  }
   GhsRun run;
-  run.tree = std::make_unique<RootedTree>(
-      RootedTree::from_parents(g, root, parent));
+  run.tree = std::make_unique<RootedTree>(run_rounds_to_done(
+      sim, max_rounds, "GHS baseline exceeded its schedule",
+      "GHS baseline finished with two roots"));
   run.sim = sim.stats();
   return run;
 }

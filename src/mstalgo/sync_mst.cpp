@@ -310,38 +310,10 @@ std::size_t SyncMstProtocol::state_bits(const SyncMstState& s,
 SyncMstRun run_sync_mst(const WeightedGraph& g) {
   SyncMstProtocol proto(g);
   Simulation<SyncMstState> sim(g, proto, proto.initial_states());
-  const std::uint64_t max_rounds = 44ULL * g.n() + 64;
-  bool all_done = false;
-  while (!all_done) {
-    if (sim.time() > max_rounds) {
-      throw std::logic_error("SYNC_MST exceeded its O(n) schedule");
-    }
-    sim.sync_round();
-    all_done = true;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (!sim.cstate(v).done) {
-        all_done = false;
-        break;
-      }
-    }
-  }
-  // Extract the tree.
-  NodeId root = kNoNode;
-  std::vector<NodeId> parent(g.n(), kNoNode);
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const SyncMstState& s = sim.cstate(v);
-    if (s.parent_port == kNoPort) {
-      if (root != kNoNode) {
-        throw std::logic_error("SYNC_MST finished with two roots");
-      }
-      root = v;
-    } else {
-      parent[v] = g.half_edge(v, s.parent_port).to;
-    }
-  }
   SyncMstRun run;
-  run.tree = std::make_unique<RootedTree>(
-      RootedTree::from_parents(g, root, parent));
+  run.tree = std::make_unique<RootedTree>(run_rounds_to_done(
+      sim, 44ULL * g.n() + 64, "SYNC_MST exceeded its O(n) schedule",
+      "SYNC_MST finished with two roots"));
   run.sim = sim.stats();
   run.active_trace = proto.active_trace();
   return run;

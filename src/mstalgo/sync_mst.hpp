@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -120,5 +121,40 @@ struct SyncMstRun {
 /// Throws if the run exceeds the paper's O(n) schedule by more than a
 /// constant factor (44n + 64 rounds).
 SyncMstRun run_sync_mst(const WeightedGraph& g);
+
+/// Runs a synchronous tree construction to termination, for SYNC_MST and
+/// the GHS baseline: steps rounds until every register's `done` flag is
+/// set, then rebuilds the tree from the registers' parent ports (kNoPort
+/// at the root). Throws std::logic_error(overrun) once the clock passes
+/// max_rounds and std::logic_error(two_roots) on a second root.
+template <typename State>
+RootedTree run_rounds_to_done(Simulation<State>& sim,
+                              std::uint64_t max_rounds, const char* overrun,
+                              const char* two_roots) {
+  const WeightedGraph& g = sim.graph();
+  auto all_done = [&sim, &g] {
+    for (NodeId v = 0; v < g.n(); ++v) {
+      if (!sim.cstate(v).done) return false;
+    }
+    return true;
+  };
+  do {
+    if (sim.time() > max_rounds) throw std::logic_error(overrun);
+    sim.sync_round();
+  } while (!all_done());
+  NodeId root = kNoNode;
+  std::vector<NodeId> parent(g.n(), kNoNode);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    const std::uint32_t port = sim.cstate(v).parent_port;
+    if (port != kNoPort) {
+      parent[v] = g.half_edge(v, port).to;
+    } else if (root != kNoNode) {
+      throw std::logic_error(two_roots);
+    } else {
+      root = v;
+    }
+  }
+  return RootedTree::from_parents(g, root, parent);
+}
 
 }  // namespace ssmst

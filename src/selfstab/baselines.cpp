@@ -25,11 +25,6 @@ std::size_t KkpVerifierProtocol::state_bits(const KkpState& s,
          kkp_label_bits(s.labels, widths_) + 1;
 }
 
-std::size_t KkpVerifierProtocol::state_phys_bytes(const KkpState& s) const {
-  return sizeof(KkpState) + s.labels.base.live_stripe_bytes() +
-         s.labels.pieces.capacity() * sizeof(std::optional<Piece>);
-}
-
 void KkpVerifierProtocol::corrupt(KkpState& s, NodeId v, Rng& rng) const {
   const auto len = s.labels.base.string_length();
   switch (rng.below(4)) {

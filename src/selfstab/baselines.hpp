@@ -52,7 +52,6 @@ class KkpVerifierProtocol final : public Protocol<KkpState> {
       std::vector<KkpState>& regs) override;
 
   std::size_t state_bits(const KkpState& s, NodeId v) const override;
-  std::size_t state_phys_bytes(const KkpState& s) const override;
   bool alarmed(const KkpState& s) const override { return s.alarm; }
   void corrupt(KkpState& s, NodeId v, Rng& rng) const override;
 

@@ -125,11 +125,6 @@ class Synchronizer final : public Protocol<SynchronizedState<Inner>> {
     return 2 * inner_->state_bits(s.cur, v) + 32;
   }
 
-  std::size_t state_phys_bytes(const State& s) const override {
-    return sizeof(State) - 2 * sizeof(Inner) +
-           inner_->state_phys_bytes(s.cur) + inner_->state_phys_bytes(s.prev);
-  }
-
   /// Type-valid corruption forwards to the wrapped protocol for both
   /// buffered copies (they need not agree after a fault) and randomizes the
   /// pulse, so neighbouring pulses can disagree by more than the one step

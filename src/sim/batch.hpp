@@ -54,14 +54,14 @@ struct JobOutcome {
 ///
 /// The detection benches run thousands of independent sims; this is the
 /// batching axis of the parallel engine (the other axis — sharding one
-/// big sim's sync rounds *and* async drains — lives in
-/// Simulation::set_thread_pool).
+/// big sim's sync rounds *and* async drains — is the pool a Simulation
+/// takes at construction).
 ///
 /// Nested-pool rules: ThreadPool is not re-entrant, so a simulation driven
 /// from inside a BatchRunner job must NOT have this runner's pool attached
 /// — its sync rounds and parallel async drains would re-enter the pool the
 /// job itself is running on. Give such sims no pool (their drains fall
-/// back to the bit-identical sequential path) or a separate pool; attach
+/// back to the bit-identical sequential path) or a separate pool; give
 /// the shared pool only to sims driven from the thread that owns the
 /// runner, between map() calls.
 ///

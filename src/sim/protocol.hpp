@@ -214,18 +214,6 @@ class Protocol {
   /// range), independent of how the struct is laid out in memory.
   virtual std::size_t state_bits(const State& s, NodeId v) const = 0;
 
-  /// Physical size of one register in bytes: the trivially-copyable block
-  /// plus any live out-of-line payload (striped-arena label stripes).
-  /// Distinct from state_bits — this is what the register actually costs
-  /// in memory, the quantity the compact-layout work drives down, while
-  /// state_bits is the paper's semantic measure. A register's physical
-  /// size is fixed at install time (steps never grow stripes), so the
-  /// engine records its peak in the construction-time accounting pass
-  /// only. Default: the block itself.
-  virtual std::size_t state_phys_bytes(const State& /*s*/) const {
-    return sizeof(State);
-  }
-
   /// Whether the node is currently raising an alarm ("output no").
   virtual bool alarmed(const State& /*s*/) const { return false; }
 

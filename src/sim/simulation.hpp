@@ -6,6 +6,7 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sim/protocol.hpp"
@@ -43,7 +44,9 @@ enum class AsyncDrain {
 /// Aggregate accounting for one simulation, maintained incrementally so
 /// every query is O(1). This is the single metrology surface consumed by
 /// verify/metrology.cpp, selfstab/transformer.cpp and the benches —
-/// protocols and harnesses should not keep parallel ad-hoc counters.
+/// protocols and harnesses should not keep parallel ad-hoc counters. It
+/// holds only scalars, so a copy never allocates, and every field except
+/// cross_shard_deferrals reads the same at every pool width.
 struct SimulationStats {
   std::uint64_t time = 0;         ///< current logical time
   std::uint64_t rounds = 0;       ///< synchronous rounds executed
@@ -61,33 +64,12 @@ struct SimulationStats {
   std::optional<std::uint64_t> first_alarm;  ///< earliest alarm since epoch
   std::uint64_t alarmed_nodes = 0;  ///< nodes alarmed since epoch
   std::size_t peak_bits = 0;        ///< running max register size, in bits
-  /// Physical bytes of the largest register: the trivially-copyable block
-  /// plus its live stripe payload (Protocol::state_phys_bytes). A
-  /// register's physical size is fixed at install (steps never grow
-  /// stripes; corruption can only shrink live lengths), so this is
-  /// recorded by the construction-time accounting pass — under the padded
-  /// inline layout it could only ever see sizeof(State); the striped arena
-  /// makes it report the live footprint.
-  std::size_t peak_register_bytes = 0;
   /// Parallel-drain activations deferred out of the conflict-free interior
   /// epoch 0 (see the sharded-drain contract in Simulation): drained nodes
   /// with an earlier-in-discipline-order drained neighbour, i.e. the part
   /// of a drain that cannot run in the first concurrent wave. Counted only
   /// by parallel drains; the sequential path leaves it 0.
   std::uint64_t cross_shard_deferrals = 0;
-  /// Per-shard drained-activation counts under the *current* shard layout
-  /// (one slot per CSR shard; sized lazily by the first parallel drain).
-  /// Contract on layout changes (pinned by tests/test_async_queue.cpp):
-  /// when set_thread_pool changes the shard *count*, the vector is resized
-  /// and the per-shard counts restart from zero — old counts cannot be
-  /// re-attributed to the new boundaries. Attaching/detaching a pool of
-  /// the same width (or toggling through nullptr and back) preserves the
-  /// counts: the layout, and so the attribution, is unchanged. Callers
-  /// that need totals across layout changes must snapshot the sum before
-  /// switching; `activations` (never reset) is the layout-independent
-  /// aggregate. Counted only by parallel drains; sums to their share of
-  /// activations.
-  std::vector<std::uint64_t> shard_activations;
   /// Total-state fault model (the invariant auditor + watchdog layer; see
   /// the Simulation class comment): audit passes run, violations they
   /// found, and watchdog repairs applied. All zero unless audit() is
@@ -107,6 +89,7 @@ struct SimulationStats {
   friend bool operator==(const SimulationStats&,
                          const SimulationStats&) = default;
 };
+static_assert(std::is_trivially_copyable_v<SimulationStats>);
 
 /// Structured result of one Simulation::audit() pass over the engine's
 /// *auxiliary* state (the total-state fault model; see the Simulation
@@ -148,10 +131,11 @@ struct AuditReport {
 /// Executes a Protocol over a WeightedGraph under either scheduler and
 /// tracks alarms, elapsed time and the running maximum register size.
 ///
-/// Shards: the nodes are split into contiguous CSR ranges, one per pool
-/// lane, with boundaries balanced by half-edge count (`compute_shards`).
-/// Without a pool (or with a one-lane pool) there is exactly one shard
-/// holding every node. The serial engine is that one-shard case: it runs
+/// Shards: the nodes are split into contiguous CSR ranges, one per lane of
+/// the pool given at construction, with boundaries balanced by half-edge
+/// count (`compute_shards`); the layout never changes afterwards. Without
+/// a pool (or with a one-lane pool) there is exactly one shard holding
+/// every node. The serial engine is that one-shard case: it runs
 /// the same sweep and drain code as the sharded engine, minus the pool
 /// dispatch. The pending queue, the re-enable marking and the audit do not
 /// depend on the shard layout at all.
@@ -241,8 +225,7 @@ struct AuditReport {
 ///  * Epoch 0 is the lock-free interior (typically the vast majority of a
 ///    sparse fault storm: conflicts require *adjacent* simultaneous
 ///    activations); later epochs are the deferred boundary work, counted
-///    in SimulationStats::cross_shard_deferrals and per shard in
-///    shard_activations.
+///    in SimulationStats::cross_shard_deferrals.
 ///  * Re-enable rules are unchanged: both drains end in the same tail,
 ///    which enables exactly the changed nodes' closed neighbourhoods
 ///    (dense change sets take the blanket re-enable). A fault injected
@@ -305,9 +288,11 @@ struct AuditReport {
 template <typename State>
 class Simulation {
  public:
-  /// `pool` (optional, not owned) shards sync rounds *and* the
-  /// construction-time accounting pass; passing it here instead of calling
-  /// set_thread_pool afterwards removes the last serial O(n) full sweep.
+  /// `pool` (optional, not owned; must outlive the simulation) fixes the
+  /// shard layout for the simulation's lifetime: it shards the
+  /// construction-time accounting pass, sync rounds and async drains.
+  /// nullptr, like a one-lane pool, gives one shard. Results are
+  /// bit-identical at every width.
   Simulation(const WeightedGraph& g, Protocol<State>& proto,
              std::vector<State> init, ThreadPool* pool = nullptr)
       : g_(&g),
@@ -326,18 +311,6 @@ class Simulation {
   }
 
   const WeightedGraph& graph() const { return *g_; }
-
-  /// Shards subsequent sync_rounds *and* async drains across `pool` (not
-  /// owned; must outlive the simulation or be detached with nullptr).
-  /// nullptr restores the one-shard layout. Results are bit-identical
-  /// either way. Safe to call at any time and repeatedly: the shard
-  /// boundaries are recomputed from the CSR degrees on every call, and the
-  /// pending queue does not depend on them — attaching or detaching a pool
-  /// mid-run never changes the schedule.
-  void set_thread_pool(ThreadPool* pool) {
-    pool_ = pool;
-    compute_shards();
-  }
 
   /// Selects the async drain execution strategy (see AsyncDrain). Purely a
   /// performance switch: every mode yields bit-identical results. kAuto
@@ -445,10 +418,8 @@ class Simulation {
     take_enabled();
     // Both paths are bit-identical (the sharded-drain contract in the
     // class comment); the switch is purely an execution strategy.
-    const bool parallel = use_parallel_drain();
-    if (parallel) count_shard_activations();
     discipline(order, rng);
-    if (parallel) {
+    if (use_parallel_drain()) {
       drain_parallel(stamp);
     } else {
       drain_sequential(stamp);
@@ -621,18 +592,12 @@ class Simulation {
   struct SweepAcc {
     std::size_t peak_bits = 0;
     std::uint64_t newly_alarmed = 0;
-    /// Physical register footprint; filled by record_pass only (round
-    /// sweeps leave it 0 — a register's physical size cannot grow after
-    /// install, so the construction pass already saw the peak).
-    std::size_t peak_phys_bytes = 0;
   };
 
-  /// Recomputes the contiguous shard boundaries for the current pool:
-  /// balanced by half-edge count (+1 per node for the fixed per-activation
-  /// cost), derived from the CSR degrees. One shard without a pool (or with
-  /// a one-lane pool). Called from the constructor and from every
-  /// set_thread_pool, so the boundaries never depend on call order relative
-  /// to other setup.
+  /// Computes the contiguous shard boundaries for the pool, once, from the
+  /// constructor: balanced by half-edge count (+1 per node for the fixed
+  /// per-activation cost), derived from the CSR degrees. One shard without
+  /// a pool (or with a one-lane pool).
   void compute_shards() {
     const NodeId n = g_->n();
     const std::uint32_t shards =
@@ -747,21 +712,6 @@ class Simulation {
           return sa != sb ? sa < sb : a < b;
         });
         break;
-    }
-  }
-
-  /// Adds the claimed drain to shard_activations, shard by shard. Runs
-  /// before the discipline reorders drain_: the claim is ascending, so each
-  /// shard's nodes form one run, found by one binary search per boundary.
-  void count_shard_activations() {
-    if (stats_.shard_activations.size() != shard_count()) {
-      stats_.shard_activations.assign(shard_count(), 0);
-    }
-    auto lo = drain_.begin();
-    for (std::uint32_t s = 0; s < shard_count(); ++s) {
-      const auto hi = std::lower_bound(lo, drain_.end(), shard_starts_[s + 1]);
-      stats_.shard_activations[s] += static_cast<std::uint64_t>(hi - lo);
-      lo = hi;
     }
   }
 
@@ -1036,9 +986,6 @@ class Simulation {
 
   void fold(const SweepAcc& acc, std::uint64_t stamp) {
     if (acc.peak_bits > stats_.peak_bits) stats_.peak_bits = acc.peak_bits;
-    if (acc.peak_phys_bytes > stats_.peak_register_bytes) {
-      stats_.peak_register_bytes = acc.peak_phys_bytes;
-    }
     if (acc.newly_alarmed > 0) {
       stats_.alarmed_nodes += acc.newly_alarmed;
       if (!stats_.first_alarm) stats_.first_alarm = stamp;
@@ -1055,8 +1002,6 @@ class Simulation {
       SweepAcc acc;
       for (NodeId v = shard_starts_[s]; v < shard_starts_[s + 1]; ++v) {
         record_state(v, regs_[v], sweep_stamp_, acc);
-        const std::size_t pb = proto_->state_phys_bytes(regs_[v]);
-        if (pb > acc.peak_phys_bytes) acc.peak_phys_bytes = pb;
       }
       shard_accs_[s] = acc;
     });
@@ -1172,7 +1117,7 @@ class Simulation {
   /// pay for queue bookkeeping.
   bool enable_all_pending_ = true;
 
-  ThreadPool* pool_ = nullptr;          ///< not owned; nullptr = one shard
+  ThreadPool* const pool_;              ///< not owned; nullptr = one shard
   std::vector<NodeId> shard_starts_;    ///< shards + 1 boundaries
   std::vector<SweepAcc> shard_accs_;    ///< per-shard deltas of one pass
   std::uint64_t sweep_stamp_ = 0;       ///< pass context for the shard task

@@ -42,13 +42,6 @@ std::optional<std::uint64_t> VerifierHarness::run(std::uint64_t units) {
   return sim_->first_alarm_time();
 }
 
-std::vector<NodeId> VerifierHarness::inject_random(std::size_t f, Rng& rng) {
-  // Simulation-aware injection: enables only the victims' neighbourhoods
-  // in the activation queue (batched into one marking pass by the span
-  // overload) instead of re-enabling all n nodes.
-  return inject_faults<VerifierState>(*proto_, *sim_, f, rng);
-}
-
 std::optional<NodeId> VerifierHarness::tamper_loadbearing_piece(
     std::uint64_t salt) {
   const WeightedGraph& g = sim_->graph();
@@ -156,8 +149,12 @@ ScaleProbeResult run_scale_probe(VerifierHarness& h,
   out.ok = true;
   out.detect_rounds = res.detection_time;
   out.peak_state_bits = res.sim.peak_bits;
-  out.register_file_bytes_per_node =
-      res.sim.peak_register_bytes + sizeof(VerifierState);
+  std::size_t stripe_bytes = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    stripe_bytes =
+        std::max(stripe_bytes, h.sim().cstate(v).labels.live_stripe_bytes());
+  }
+  out.register_file_bytes_per_node = 2 * sizeof(VerifierState) + stripe_bytes;
   return out;
 }
 

@@ -51,10 +51,6 @@ class VerifierHarness {
   /// Runs `units` time units; returns the first alarm time, if any.
   std::optional<std::uint64_t> run(std::uint64_t units);
 
-  /// Injects adversarial corruption at `f` random nodes (protocol-level
-  /// corruption covering labels, components and runtime state).
-  std::vector<NodeId> inject_random(std::size_t f, Rng& rng);
-
   /// Tampers one *load-bearing* permanent piece: a stored copy whose
   /// fragment intersects the part that circulates it, so some node's
   /// C1/C2/equality check must eventually fire. (Copies of fragments that
@@ -97,9 +93,8 @@ struct ScaleProbeResult {
   std::uint64_t detect_rounds = 0;
   std::size_t peak_state_bits = 0;
   /// Physical register-file cost per node: both double-buffer headers plus
-  /// the (shared, counted once) live label stripes — the bytes the compact
-  /// arena layout drives down (SimulationStats::peak_register_bytes is one
-  /// header + stripes; the second buffered header is added here).
+  /// the largest register's live label stripes (shared, counted once) —
+  /// the bytes the compact arena layout drives down.
   std::size_t register_file_bytes_per_node = 0;
 };
 

@@ -188,10 +188,6 @@ class VerifierProtocol final : public Protocol<VerifierState> {
       std::vector<VerifierState>& regs) override;
 
   std::size_t state_bits(const VerifierState& s, NodeId v) const override;
-  /// Physical register footprint: header block + live label stripes.
-  std::size_t state_phys_bytes(const VerifierState& s) const override {
-    return sizeof(VerifierState) + s.labels.live_stripe_bytes();
-  }
   bool alarmed(const VerifierState& s) const override {
     return s.alarm != AlarmReason::kNone;
   }

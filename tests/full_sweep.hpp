@@ -40,9 +40,6 @@ class FullSweep final : public Protocol<State> {
   std::size_t state_bits(const State& s, NodeId v) const override {
     return inner_->state_bits(s, v);
   }
-  std::size_t state_phys_bytes(const State& s) const override {
-    return inner_->state_phys_bytes(s);
-  }
   bool alarmed(const State& s) const override { return inner_->alarmed(s); }
   bool audit_state(const State& s, NodeId v) const override {
     return inner_->audit_state(s, v);

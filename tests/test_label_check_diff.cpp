@@ -435,5 +435,50 @@ TEST(LabelCheckDiff, EveryLevelEntryByteCombination) {
   expect_clean(d, 15);
 }
 
+// Two conditions only the tree root checks, on every graph of
+// standard_suite(1): (a) one flipped bit of the root's sp_root_id is the SP
+// root-identity violation at the root; (b) n_claim + 1 at every node is a
+// lie that every neighbour agrees with, so only the root's count check
+// (subtree_count == n_claim) sees it and no other node alarms.
+TEST(LabelCheckDiff, RootIdentityAndNetworkWideCountLie) {
+  for (const auto& [name, g] : gen::standard_suite(1)) {
+    const MarkerOutput m = make_labels(g);
+    const NodeId root = m.tree->root();
+    KkpVerifierProtocol proto(g);
+    // Diffs every node of the corrupted registers and returns each node's
+    // reached codes, less kPairLevel: diff_node probes the pair event one
+    // level past the end, which every node reports.
+    auto codes_after = [&](auto&& corrupt) {
+      auto regs = proto.initial_states(m);
+      const auto arena = proto.adopt_register_file(regs);
+      corrupt(regs);
+      const std::vector<KkpLabels> tables = tables_of(regs);
+      std::vector<std::set<LabelViolation>> codes(g.n());
+      for (NodeId v = 0; v < g.n(); ++v) {
+        Diff d;
+        diff_node(g, regs, tables, v, d);
+        EXPECT_EQ(d.mismatches, 0u) << name << ": " << d.first_mismatch;
+        d.reached.erase(LabelViolation::kPairLevel);
+        codes[v] = d.reached;
+      }
+      return codes;
+    };
+    const auto sp = codes_after([&](std::vector<KkpState>& regs) {
+      regs[root].labels.base.sp_root_id ^= 1;
+    });
+    EXPECT_TRUE(sp[root].contains(LabelViolation::kSpRootId)) << name;
+    const auto numk = codes_after([](std::vector<KkpState>& regs) {
+      for (KkpState& s : regs) s.labels.base.n_claim += 1;
+    });
+    for (NodeId v = 0; v < g.n(); ++v) {
+      if (v == root) {
+        EXPECT_TRUE(numk[v].contains(LabelViolation::kNumKRoot)) << name;
+      } else {
+        EXPECT_TRUE(numk[v].empty()) << name << " node " << v;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ssmst

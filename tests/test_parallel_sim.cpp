@@ -13,7 +13,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "graph/generators.hpp"
 #include "labels/marker.hpp"
@@ -78,7 +77,8 @@ TEST(ThreadPool, SingleLaneAndEmptyJobsWork) {
 
 /// Runs a serial and a pool-sharded simulation from the same initial
 /// configuration in lock-step for `rounds` rounds and asserts bit-equal
-/// registers plus identical SimulationStats after every round, for every
+/// registers plus identical SimulationStats after the sharded
+/// construction-time accounting pass and after every round, for every
 /// tested thread count. The factory returns a fresh protocol per sim so
 /// any protocol-internal bookkeeping cannot couple the twins.
 template <typename State, typename MakeProto>
@@ -89,10 +89,11 @@ void ExpectScheduleEquivalence(const WeightedGraph& g,
     SCOPED_TRACE(::testing::Message() << "threads=" << t);
     auto serial_proto = make_proto();
     auto sharded_proto = make_proto();
+    ThreadPool pool(t);  // declared first: must outlive the simulation
     Simulation<State> serial(g, *serial_proto, init);
-    Simulation<State> sharded(g, *sharded_proto, init);
-    ThreadPool pool(t);
-    sharded.set_thread_pool(&pool);
+    Simulation<State> sharded(g, *sharded_proto, init, &pool);
+    ASSERT_TRUE(serial.stats() == sharded.stats())
+        << "stats diverged in the construction pass";
     for (int r = 0; r < rounds; ++r) {
       serial.sync_round();
       sharded.sync_round();
@@ -290,64 +291,15 @@ TEST(ParallelSim, MoreThreadsThanNodes) {
   std::vector<ToyState> init(g.n());
   init[0].value = 5;
   SeededToy serial_proto, sharded_proto;
+  ThreadPool pool(7);  // declared first: must outlive the simulation
   Simulation<ToyState> serial(g, serial_proto, init);
-  Simulation<ToyState> sharded(g, sharded_proto, init);
-  ThreadPool pool(7);
-  sharded.set_thread_pool(&pool);
+  Simulation<ToyState> sharded(g, sharded_proto, init, &pool);
+  ASSERT_TRUE(serial.stats() == sharded.stats());
   for (int r = 0; r < 20; ++r) {
     serial.sync_round();
     sharded.sync_round();
     ASSERT_TRUE(serial.states() == sharded.states()) << "round " << r;
     ASSERT_TRUE(serial.stats() == sharded.stats()) << "round " << r;
-  }
-}
-
-TEST(ParallelSim, DetachingPoolRestoresSerialSweep) {
-  Rng rng(62);
-  auto g = gen::cycle(12, rng);
-  SeededToy proto_a, proto_b;
-  std::vector<ToyState> init(g.n());
-  Simulation<ToyState> a(g, proto_a, init);
-  Simulation<ToyState> b(g, proto_b, init);
-  ThreadPool pool(4);
-  b.set_thread_pool(&pool);
-  for (int r = 0; r < 10; ++r) b.sync_round();
-  b.set_thread_pool(nullptr);
-  for (int r = 0; r < 10; ++r) b.sync_round();
-  for (int r = 0; r < 20; ++r) a.sync_round();
-  ASSERT_TRUE(a.states() == b.states());
-  ASSERT_TRUE(a.stats() == b.stats());
-}
-
-TEST(ParallelSim, ConstructorPoolShardsLikeSetThreadPool) {
-  // Passing the pool at construction (which also shards the
-  // construction-time accounting pass) must be indistinguishable from
-  // attaching it afterwards — and from the serial sweep.
-  Rng rng(63);
-  auto g = gen::random_connected(40, 30, rng);
-  VerifierConfig cfg;
-  const MarkerOutput marker = make_labels(g, cfg.pack);
-  VerifierProtocol pa(g, cfg), pb(g, cfg), pc(g, cfg);
-  const auto init = pa.initial_states(marker);
-
-  ThreadPool pool(4);
-  Simulation<VerifierState> at_ctor(g, pa, init, &pool);
-  Simulation<VerifierState> after(g, pb, init);
-  after.set_thread_pool(&pool);
-  Simulation<VerifierState> serial(g, pc, init);
-  ASSERT_TRUE(at_ctor.stats() == serial.stats());  // sharded record_pass
-  for (int r = 0; r < 30; ++r) {
-    at_ctor.sync_round();
-    after.sync_round();
-    serial.sync_round();
-    ASSERT_TRUE(std::as_const(at_ctor).states() ==
-                std::as_const(serial).states())
-        << "round " << r;
-    ASSERT_TRUE(std::as_const(after).states() ==
-                std::as_const(serial).states())
-        << "round " << r;
-    ASSERT_TRUE(at_ctor.stats() == serial.stats()) << "round " << r;
-    ASSERT_TRUE(after.stats() == serial.stats()) << "round " << r;
   }
 }
 
