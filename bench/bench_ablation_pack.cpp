@@ -9,12 +9,14 @@
 #include <cstdio>
 
 #include "core/ssmst.hpp"
+#include "util/bench_io.hpp"
 #include "util/bits.hpp"
 #include "util/table.hpp"
 
 using namespace ssmst;
 
-int main() {
+int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv, {});
   std::puts("== ablation: pieces-per-node packing (memory <-> time) ==");
   const NodeId n = 256;
   Rng rng(17);

@@ -70,6 +70,9 @@ int replay_episode(int argc, char** argv, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv,
+                       {"--episodes", "--n", "--json", "--replay-seed",
+                        "--class", "--family"});
   const unsigned threads = threads_from_argv(argc, argv);
   const std::size_t episodes = arg_u64(argc, argv, "--episodes", 8);
   const NodeId n = static_cast<NodeId>(arg_u64(argc, argv, "--n", 96));

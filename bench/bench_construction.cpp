@@ -9,13 +9,15 @@
 #include <cstdio>
 
 #include "core/ssmst.hpp"
+#include "util/bench_io.hpp"
 #include "util/bits.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace ssmst;
 
-int main() {
+int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv, {});
   std::puts("== E1: construction time and memory (SYNC_MST vs GHS-style) ==");
   Table t({"n", "sync_mst rounds", "rounds/n", "ghs rounds", "ghs/(n log n)",
            "sync bits", "bits/log n", "activations", "marker rounds"});

@@ -7,6 +7,10 @@
 // is index-derived, so the numbers are identical at any thread count.
 //
 // Shape to check: time/(log n)^2 roughly flat; log-log slope well below 1.
+// The median is over the seeds that detected ("-" when none did); each
+// row also counts its false alarms, missed detections and skipped seeds
+// (no load-bearing piece to tamper). A false alarm or a miss anywhere
+// makes the driver exit 1 after printing every table.
 //
 // Scale section: random/star/path instances up to --max-n nodes (default
 // 2^20) run the full pipeline — mark, reach steady state with no false
@@ -18,14 +22,19 @@
 // are hours of wall clock. Flags: [threads] [--max-n=N] [--json=FILE]
 // (--json appends machine-readable records, e.g. for BENCH_PR3.json).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/ssmst.hpp"
 #include "sim/batch.hpp"
 #include "util/bench_io.hpp"
 #include "util/bits.hpp"
+#include "util/seed_tally.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -75,6 +84,7 @@ bool run_scale_row(const char* family, const WeightedGraph& g, Table& t,
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv, {"--max-n", "--json"});
   const unsigned threads = threads_from_argv(argc, argv);
   // 2^26 ceiling: the loop below would otherwise wrap NodeId, and a
   // larger register file would not fit sane memory anyway.
@@ -86,41 +96,60 @@ int main(int argc, char** argv) {
   std::printf("== E2: detection time, synchronous (target O(log^2 n)) ==\n");
   std::printf("batch threads: %u\n", threads);
   BatchRunner runner(threads);
-  Table t({"n", "detect rounds (median of 5)", "(log n)^2",
-           "rounds/(log n)^2"});
+  Table t({"n", "detect rounds (median)", "(log n)^2", "rounds/(log n)^2",
+           "false alarms", "missed", "skipped"});
   std::vector<double> ns, ts;
+  SeedTally all;
   Rng grng(9);
   for (NodeId n : {64u, 128u, 256u, 512u, 1024u}) {
     auto g = gen::random_connected(n, n / 2, grng);
-    auto raw = runner.map<double>(
-        5, /*sweep_seed=*/n, [&](std::size_t i, Rng&) -> double {
+    struct Seed {
+      SeedOutcome outcome;
+      double rounds = 0;
+    };
+    auto raw = runner.map<Seed>(
+        5, /*sweep_seed=*/n, [&](std::size_t i, Rng&) -> Seed {
           const std::uint64_t seed = i + 1;  // historical per-sim seeds 1..5
           VerifierConfig cfg;
           VerifierHarness h(g, cfg, seed);
-          if (h.run(64).has_value()) return -1;
+          if (h.run(64).has_value()) return {SeedOutcome::kFalseAlarm};
           auto victim = h.tamper_loadbearing_piece(seed * 37);
-          if (!victim) return -1;
+          if (!victim) return {SeedOutcome::kNoPiece};
           auto res = h.measure_detection({*victim}, 1u << 22);
-          return res.detected ? double(res.detection_time) : -1;
+          if (!res.detected) return {SeedOutcome::kMissed};
+          return {SeedOutcome::kDetected, double(res.detection_time)};
         });
+    SeedTally tally;
     std::vector<double> samples;
-    for (double d : raw) {
-      if (d >= 0) samples.push_back(d);
+    for (const Seed& s : raw) {
+      tally.add(s.outcome);
+      if (s.outcome == SeedOutcome::kDetected) samples.push_back(s.rounds);
     }
-    std::sort(samples.begin(), samples.end());
-    const double med = samples.empty() ? 0 : samples[samples.size() / 2];
     const double l2 = double(ceil_log2(n) + 1) * (ceil_log2(n) + 1);
-    t.add_row({Table::num(std::uint64_t{n}), Table::num(med, 0),
-               Table::num(l2, 0), Table::num(med / l2, 2)});
-    json.record("detection_sync/e2/" + std::to_string(n), "detect_rounds",
-                med);
-    ns.push_back(n);
-    ts.push_back(med + 1);
+    std::vector<std::string> row = {Table::num(std::uint64_t{n}), "-",
+                                    Table::num(l2, 0), "-"};
+    if (!samples.empty()) {
+      std::sort(samples.begin(), samples.end());
+      const double med = samples[samples.size() / 2];
+      row[1] = Table::num(med, 0);
+      row[3] = Table::num(med / l2, 2);
+      json.record("detection_sync/e2/" + std::to_string(n), "detect_rounds",
+                  med);
+      ns.push_back(n);
+      ts.push_back(med + 1);
+    }
+    for (std::string& c : tally.cells()) row.push_back(std::move(c));
+    t.add_row(std::move(row));
+    all += tally;
   }
   t.print();
   std::printf("\ndetection time vs n, log-log slope: %.2f "
               "(polylog -> well below 1.0)\n",
               loglog_slope(ns, ts));
+  if (all.failed()) {
+    std::fprintf(stderr, "E2: %zu false alarm(s), %zu missed detection(s)\n",
+                 all.false_alarms, all.misses);
+  }
 
   // --- Scale section: full pipeline on big instances ----------------------
   if (max_n >= (1u << 14)) {
@@ -162,5 +191,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }
-  return 0;
+  return all.failed() ? 1 : 0;
 }

@@ -30,6 +30,8 @@
 using namespace ssmst;
 
 int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv,
+                       {"--max-n", "--assert-max-bytes-per-node", "--json"});
   const std::uint64_t max_n = arg_u64(argc, argv, "--max-n", 4096);
   const std::uint64_t assert_bpn =
       arg_u64(argc, argv, "--assert-max-bytes-per-node", 0);

@@ -11,12 +11,14 @@
 #include <cstdio>
 
 #include "core/ssmst.hpp"
+#include "util/bench_io.hpp"
 #include "util/bits.hpp"
 #include "util/table.hpp"
 
 using namespace ssmst;
 
-int main() {
+int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv, {});
   std::puts("== E6: tau-path transformation & memory x time frontier ==");
 
   std::puts("-- Lemma 9.1 equivalence on the hard family --");

@@ -8,12 +8,14 @@
 #include <cstdio>
 
 #include "core/ssmst.hpp"
+#include "util/bench_io.hpp"
 #include "util/bits.hpp"
 #include "util/table.hpp"
 
 using namespace ssmst;
 
-int main() {
+int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv, {});
   std::puts("== E5: partitions, Multi_Wave, and train cycle times ==");
   Rng rng(77);
   Table t({"n", "theta", "top parts", "max top diam", "max top pieces",

@@ -8,13 +8,15 @@
 #include <cstdio>
 
 #include "core/ssmst.hpp"
+#include "util/bench_io.hpp"
 #include "util/bits.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace ssmst;
 
-int main() {
+int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv, {});
   std::puts("== E7: self-stabilization from arbitrary states ==");
   Table t({"n", "mode", "detect", "reset", "build", "mark", "total",
            "total/n", "bits/node", "bits/log n"});

@@ -108,6 +108,8 @@ bool fleet_ok(const FleetRun& run, NodeId n) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_unknown_flags(
+      argc, argv, {"--tenants", "--n", "--queue-cap", "--seed", "--json"});
   const unsigned threads = threads_from_argv(argc, argv);
   const std::size_t tenants = arg_u64(argc, argv, "--tenants", 64);
   const NodeId n = static_cast<NodeId>(arg_u64(argc, argv, "--n", 48));

@@ -60,6 +60,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv, {"--max-n", "--json"});
   const unsigned threads = threads_from_argv(argc, argv);
   // 2^26 ceiling: the scale loop below would otherwise wrap NodeId.
   const std::uint64_t max_n = std::min<std::uint64_t>(

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/ssmst.hpp"
+#include "util/bench_io.hpp"
 #include "util/table.hpp"
 
 using namespace ssmst;
@@ -44,7 +45,8 @@ std::string endp_cell(EndpEntry e) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  reject_unknown_flags(argc, argv, {});
   auto g = gen::figure1_example();
   auto m = make_labels(g);
   const auto len = m.labels[0].string_length();

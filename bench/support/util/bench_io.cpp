@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -19,21 +21,62 @@ std::size_t peak_rss_bytes() {
   return static_cast<std::size_t>(ru.ru_maxrss) * 1024;
 }
 
-std::string arg_value(int argc, char** argv, const std::string& key,
-                      const std::string& fallback) {
-  const std::string prefix = key + "=";
+void reject_unknown_flags(int argc, char** argv,
+                          std::initializer_list<const char*> accepted) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
+    if (a.rfind("--", 0) != 0) continue;
+    const std::size_t eq = a.find('=');
+    const auto is_key = [&](const char* key) {
+      return a.compare(0, eq, key) == 0;
+    };
+    if (eq != std::string::npos &&
+        std::any_of(accepted.begin(), accepted.end(), is_key)) {
+      continue;
+    }
+    std::fprintf(stderr, "%s: unknown flag '%s'; accepted flags:", argv[0],
+                 argv[i]);
+    for (const char* key : accepted) std::fprintf(stderr, " %s=VALUE", key);
+    std::fprintf(stderr, "%s\n", accepted.size() == 0 ? " none" : "");
+    std::exit(2);
   }
-  return fallback;
+}
+
+namespace {
+
+/// The value of the first `key=value` argument, or nullptr if there is none.
+const char* find_value(int argc, char** argv, const std::string& key) {
+  const std::string prefix = key + "=";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
+      return argv[i] + prefix.size();
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::string arg_value(int argc, char** argv, const std::string& key,
+                      const std::string& fallback) {
+  const char* v = find_value(argc, argv, key);
+  return v != nullptr ? v : fallback;
 }
 
 std::uint64_t arg_u64(int argc, char** argv, const std::string& key,
                       std::uint64_t fallback) {
-  const std::string v = arg_value(argc, argv, key);
-  if (v.empty()) return fallback;
-  return std::strtoull(v.c_str(), nullptr, 10);
+  const char* v = find_value(argc, argv, key);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long x = std::strtoull(v, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+      errno == ERANGE) {
+    std::fprintf(stderr, "%s: %s needs a plain decimal value, got '%s'\n",
+                 argv[0], key.c_str(), v);
+    std::exit(2);
+  }
+  return x;
 }
 
 void BenchJson::record(const std::string& name, const std::string& metric,

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,8 +16,19 @@ std::size_t peak_rss_bytes();
 
 /// Minimal argv helpers for the bench drivers (which keep their positional
 /// thread-count argument and add a few `--key=value` flags on top).
+///
+/// reject_unknown_flags: every argument that starts with "--" must be
+/// `key=value` with `key` in `accepted`. Anything else (`--help`, a
+/// misspelt `--max_n=16384`, a bare `--json`) prints the argument and the
+/// accepted flags to stderr and exits with status 2, before any work
+/// starts. Drivers call it first thing in main.
+void reject_unknown_flags(int argc, char** argv,
+                          std::initializer_list<const char*> accepted);
 std::string arg_value(int argc, char** argv, const std::string& key,
                       const std::string& fallback = "");
+/// `key`'s value as a plain decimal (digits only, at most 2^64 - 1);
+/// `fallback` when the flag is absent. Any other value (`abc`, `-1`,
+/// `1e6`, an empty one) prints an error to stderr and exits with status 2.
 std::uint64_t arg_u64(int argc, char** argv, const std::string& key,
                       std::uint64_t fallback);
 

@@ -22,17 +22,10 @@ int main() {
   Simulation<SynchronizedState<SyncMstState>> sim(
       g, wrapper, synchronized_initial_states(inner.initial_states()));
   Rng daemon(11);
-  while (true) {
-    bool done = true;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (!sim.cstate(v).cur.done) {
-        done = false;
-        break;
-      }
-    }
-    if (done) break;
-    sim.async_unit(daemon);
-  }
+  const RootedTree tree = run_rounds_to_done(
+      sim, 10ULL * (44ULL * g.n() + 64) + 64,
+      "synchronized SYNC_MST did not finish",
+      "synchronized SYNC_MST finished with two roots", &daemon);
   std::printf("asynchronous construction finished in %llu time units\n",
               static_cast<unsigned long long>(sim.time()));
   // The event-driven daemon activates only enabled nodes; effective_steps
@@ -45,15 +38,7 @@ int main() {
       static_cast<unsigned long long>(sim.stats().effective_steps),
       static_cast<unsigned long long>(sim.stats().units * g.n()));
 
-  std::vector<bool> in_tree(g.m(), false);
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const auto& s = sim.cstate(v).cur;
-    if (s.parent_port != kNoPort) {
-      in_tree[g.half_edge(v, s.parent_port).edge_index] = true;
-    }
-  }
-  std::printf("result is an MST: %s\n\n",
-              is_mst(g, in_tree) ? "yes" : "NO");
+  std::printf("result is an MST: %s\n\n", is_mst(tree) ? "yes" : "NO");
 
   // 2. Verify asynchronously with the handshake mechanism.
   VerifierConfig cfg;

@@ -8,7 +8,16 @@
 /// MST" (PODC 2011 / Distributed Computing 2015). The main entry points:
 ///
 ///  * run_sync_mst()            — Section 4's O(n)-time, O(log n)-bit
-///                                synchronous MST construction.
+///                                synchronous MST construction. The
+///                                O(n log n) GHS baseline
+///                                (run_ghs_boruvka) shares its fragment
+///                                stages, and run_rounds_to_done runs
+///                                either, or SYNC_MST under the two-slot
+///                                synchronizer, to termination. Neither
+///                                overrides Protocol::corrupt: they are
+///                                not self-stabilizing, and the
+///                                transformer restarts them from
+///                                initial_states().
 ///  * make_labels()             — the marker: hierarchy, partitions, and
 ///                                all proof labels (Sections 5-6).
 ///  * VerifierHarness           — the self-stabilizing verifier with

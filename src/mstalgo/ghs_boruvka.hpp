@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/tree.hpp"
+#include "mstalgo/sync_mst.hpp"
 #include "sim/protocol.hpp"
 #include "sim/simulation.hpp"
 #include "util/contract.hpp"
@@ -12,7 +13,7 @@ namespace ssmst {
 
 /// Register of one node of the GHS-style baseline.
 struct GhsState {
-  std::uint32_t parent_port = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t parent_port = kNoPort;
   std::uint64_t root_id = 0;
 
   std::int32_t find_phase = -1;
@@ -39,7 +40,10 @@ SSMST_REGISTER_HEADER(GhsState);
 /// fragments merge, level by level. Because a wave over a fragment may
 /// cross the whole graph, each level needs a Theta(n) window, giving the
 /// O(n log n) total time the paper contrasts SYNC_MST's O(n) against.
-/// Memory is O(log n) bits per node, like SYNC_MST.
+/// Memory is O(log n) bits per node, like SYNC_MST. Selection, the
+/// "found" echo, the root transfer and the hook are SYNC_MST's
+/// (run_merge_stages in mstalgo/sync_mst.hpp); only the fixed n-wide
+/// schedule and the find wave are the baseline's own.
 class GhsBoruvkaProtocol final : public Protocol<GhsState> {
  public:
   explicit GhsBoruvkaProtocol(const WeightedGraph& g);
@@ -48,16 +52,12 @@ class GhsBoruvkaProtocol final : public Protocol<GhsState> {
             std::uint64_t time) override;
   std::size_t state_bits(const GhsState& s, NodeId v) const override;
 
-  /// Randomized type-valid corruption (see SyncMstProtocol::corrupt).
-  void corrupt(GhsState& s, NodeId v, Rng& rng) const override;
-
   std::vector<GhsState> initial_states() const;
 
  private:
   const WeightedGraph* g_;
   std::uint64_t window_;  // per-stage width: n
-  std::size_t id_bits_;
-  std::size_t weight_bits_;
+  const ConstructionWidths widths_;
 };
 
 struct GhsRun {

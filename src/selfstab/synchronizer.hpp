@@ -47,6 +47,16 @@ std::vector<SynchronizedState<Inner>> synchronized_initial_states(
   return init;
 }
 
+/// The synchronizer protocol over SynchronizedState<Inner> registers.
+///
+/// Single-shard rule: `step` writes scratch that the whole protocol
+/// object shares, `snapshot_` and `locals_[u]` for every neighbour u, so
+/// two concurrent activations that share a neighbour race. A synchronized
+/// simulation must therefore run as one shard: build it without a pool
+/// (or with a one-lane pool). This is the one exception to the
+/// thread-safety contract in sim/protocol.hpp; every synchronized
+/// simulation in the library, the examples and the tests is built
+/// without a pool.
 template <typename Inner>
 class Synchronizer final : public Protocol<SynchronizedState<Inner>> {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "graph/mst.hpp"
@@ -263,21 +262,10 @@ struct SelfStabilizingMst::Impl {
       Synchronizer<SyncMstState> wrapper(g, inner);
       Simulation<SynchronizedState<SyncMstState>> sim(
           g, wrapper, synchronized_initial_states(inner.initial_states()));
-      const std::uint64_t bound = 10ULL * (44ULL * g.n() + 64) + 64;
-      for (;;) {
-        bool all_done = true;
-        for (NodeId v = 0; v < g.n(); ++v) {
-          if (!sim.cstate(v).cur.done) {
-            all_done = false;
-            break;
-          }
-        }
-        if (all_done) break;
-        if (sim.time() > bound) {
-          throw std::logic_error("synchronized SYNC_MST did not finish");
-        }
-        sim.async_unit(rng);
-      }
+      run_rounds_to_done(sim, 10ULL * (44ULL * g.n() + 64) + 64,
+                         "synchronized SYNC_MST did not finish",
+                         "synchronized SYNC_MST finished with two roots",
+                         &rng);
       checker->note(sim.stats());
       rep.build_time += sim.time();
     }

@@ -73,6 +73,9 @@ class NeighborReader {
 /// are called concurrently on freshly written states and must be safe as
 /// const calls. Protocols that follow the locality rule and keep `step`
 /// free of unsynchronized member writes satisfy the contract for free.
+/// The one exception is `Synchronizer` (selfstab/synchronizer.hpp): its
+/// step writes shared scratch, so a synchronized simulation runs as one
+/// shard, without a pool.
 ///
 /// The same contract extends to parallel *async* drains (the sharded-drain
 /// engine in sim/simulation.hpp): `step_changed` for distinct drained

@@ -39,28 +39,16 @@ TEST(Synchronizer, RunsSyncMstUnderAsyncDaemon) {
   Simulation<SynchronizedState<SyncMstState>> sim(
       g, wrapper, synchronized_initial_states(inner.initial_states()));
   Rng daemon(6);
-  const std::uint64_t bound = 10ULL * (44ULL * g.n() + 64);
-  for (;;) {
-    bool done = true;
-    for (NodeId v = 0; v < g.n(); ++v) {
-      if (!sim.state(v).cur.done) {
-        done = false;
-        break;
-      }
-    }
-    if (done) break;
-    ASSERT_LE(sim.time(), bound) << "synchronized run did not finish";
-    sim.async_unit(daemon);
-  }
-  // Extract and check the tree.
-  std::vector<bool> in_tree(g.m(), false);
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const auto& s = sim.state(v).cur;
-    if (s.parent_port != kNoPort) {
-      in_tree[g.half_edge(v, s.parent_port).edge_index] = true;
-    }
-  }
-  EXPECT_TRUE(is_mst(g, in_tree));
+  const RootedTree tree = run_rounds_to_done(
+      sim, 10ULL * (44ULL * g.n() + 64), "synchronized run did not finish",
+      "synchronized run finished with two roots", &daemon);
+  EXPECT_TRUE(is_mst(tree));
+  // Golden schedule, captured before this run went through the shared
+  // driver. All pulses start equal, so every unit drains all 48 nodes and
+  // every activation advances a pulse.
+  EXPECT_EQ(sim.time(), 616u);
+  EXPECT_EQ(sim.stats().activations, 29568u);
+  EXPECT_EQ(sim.stats().effective_steps, 29568u);
 }
 
 TEST(Synchronizer, PulsesNeverDivergeByMoreThanOne) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "util/bench_io.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -117,6 +121,47 @@ TEST(Table, RendersAlignedRows) {
 TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(std::uint64_t{42}), "42");
+}
+
+/// argv for the bench flag helpers: "bench" followed by `args`.
+struct Argv {
+  explicit Argv(std::vector<std::string> args) : store(std::move(args)) {
+    store.insert(store.begin(), "bench");
+    for (std::string& a : store) ptrs.push_back(a.data());
+  }
+  int argc() const { return static_cast<int>(ptrs.size()); }
+  char** argv() { return ptrs.data(); }
+  std::vector<std::string> store;
+  std::vector<char*> ptrs;
+};
+
+TEST(BenchArgs, ReadsPlainDecimalsAndFallsBack) {
+  Argv a({"4", "--max-n=16384", "--json=out.json"});
+  reject_unknown_flags(a.argc(), a.argv(), {"--max-n", "--json"});
+  EXPECT_EQ(arg_u64(a.argc(), a.argv(), "--max-n", 7), 16384u);
+  EXPECT_EQ(arg_u64(a.argc(), a.argv(), "--n", 7), 7u);
+  EXPECT_EQ(arg_value(a.argc(), a.argv(), "--json"), "out.json");
+}
+
+TEST(BenchArgs, NonDecimalValueExitsTwo) {
+  for (const char* bad : {"--max-n=abc", "--max-n=", "--max-n=-1",
+                          "--max-n=1e6", "--max-n=99999999999999999999"}) {
+    Argv a({bad});
+    EXPECT_EXIT(arg_u64(a.argc(), a.argv(), "--max-n", 7),
+                ::testing::ExitedWithCode(2), "plain decimal")
+        << bad;
+  }
+}
+
+TEST(BenchArgs, UnknownFlagExitsTwoAndListsAcceptedFlags) {
+  for (const char* bad : {"--max_n=16384", "--help", "--json"}) {
+    Argv a({"2", bad});
+    EXPECT_EXIT(
+        reject_unknown_flags(a.argc(), a.argv(), {"--max-n", "--json"}),
+        ::testing::ExitedWithCode(2),
+        "unknown flag.*accepted flags: --max-n=VALUE --json=VALUE")
+        << bad;
+  }
 }
 
 }  // namespace
